@@ -78,6 +78,16 @@ goldenCases()
                      presets::withSharedL2Tlb(goldenConfig(), 512, 2)});
     cases.push_back({"pathfinder_l2tlb", BenchmarkId::Pathfinder,
                      presets::withSharedL2Tlb(goldenConfig(), 512, 2)});
+    // Blocking TLB: ready memory warps are gated (and charged
+    // tlb_miss) for the whole drain, while nothing on the core issues.
+    SystemConfig naive = presets::naiveTlb();
+    naive.numCores = 4;
+    cases.push_back({"bfs_naive", BenchmarkId::Bfs, naive});
+    // Shared IOMMU: translation completions arrive from outside the
+    // cores.
+    SystemConfig iommu = presets::iommu();
+    iommu.numCores = 4;
+    cases.push_back({"bfs_iommu", BenchmarkId::Bfs, iommu});
     return cases;
 }
 

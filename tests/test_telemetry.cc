@@ -19,6 +19,7 @@
 
 #include "core/presets.hh"
 #include "core/sweep.hh"
+#include "dse/grid.hh"
 #include "telemetry/report.hh"
 #include "telemetry/telemetry.hh"
 
@@ -239,6 +240,20 @@ TEST(Telemetry, ExportsAreByteStableAcrossSweepJobCounts)
     runConfigFull(BenchmarkId::Bfs, cfg, tinyParams(), nullptr,
                   &probe);
     EXPECT_EQ(rows, probe.sampler().intervals().size() + 1);
+
+    // A 7-cycle interval puts boundaries inside the cycle loop's
+    // fast-forward windows and the cores' sleep spans; the CSV is
+    // pinned byte for byte (length, rows and FNV-1a of the export).
+    TelemetryConfig fine;
+    fine.sampleInterval = 7;
+    Telemetry fine_t(fine);
+    runConfigFull(BenchmarkId::Bfs, cfg, tinyParams(), nullptr, &fine_t);
+    std::ostringstream fine_csv;
+    fine_t.writeCsv(fine_csv);
+    const std::string fine_s = fine_csv.str();
+    EXPECT_EQ(fine_s.size(), 1227203u);
+    EXPECT_EQ(std::count(fine_s.begin(), fine_s.end(), '\n'), 4970);
+    EXPECT_EQ(fnv1a64(fine_s), 0x6ba4eb750d45add7ULL);
 }
 
 TEST(Telemetry, ArmedCheckerAndSamplerComposeCleanly)
