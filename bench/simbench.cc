@@ -282,6 +282,7 @@ main(int argc, char **argv)
         m.benchmark = bench_name;
         m.config = pt.config;
         m.wallSeconds = -1.0;
+        std::uint64_t core_ticks = 0;
 
         for (int r = 0; r < repeat; ++r) {
             const auto t0 = std::chrono::steady_clock::now();
@@ -294,6 +295,7 @@ main(int argc, char **argv)
                 m.cycles = s.cycles;
                 m.eventsFired = s.eventsFired;
                 m.instructions = s.instructions;
+                core_ticks = s.coreTicks;
             } else if (s.cycles != m.cycles ||
                        s.eventsFired != m.eventsFired) {
                 // Non-deterministic replay: the numbers are garbage,
@@ -311,6 +313,7 @@ main(int argc, char **argv)
         }
         std::cout << m.point << ": cycles=" << m.cycles
                   << " events=" << m.eventsFired
+                  << " core_ticks=" << core_ticks
                   << " best_wall=" << m.wallSeconds
                   << "s cyc/s=" << static_cast<std::uint64_t>(
                                         m.cyclesPerSec())

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "core/presets.hh"
+#include "gpu/gpu_top.hh"
 #include "sched/ccws.hh"
 #include "sim/logging.hh"
 #include "telemetry/span.hh"
@@ -56,7 +57,7 @@ runSlice(Tenant &t, const SystemConfig &sys, Iommu &iommu,
          Telemetry *telemetry, SpanTracker *spans, Cycle clock,
          unsigned blocks_per_slice)
 {
-    std::vector<std::unique_ptr<SimtCore>> cores;
+    std::vector<std::unique_ptr<ShaderCore>> cores;
     cores.reserve(sys.numCores);
     for (unsigned i = 0; i < sys.numCores; ++i) {
         auto core = std::make_unique<SimtCore>(
@@ -74,73 +75,15 @@ runSlice(Tenant &t, const SystemConfig &sys, Iommu &iommu,
         cores.push_back(std::move(core));
     }
 
+    // GpuTop's cycle loop, on the persistent clock.
     const unsigned end_block =
         std::min(t.launch.totalBlocks, t.nextBlock + blocks_per_slice);
-    auto dispatch = [&]() {
-        bool placed_any = false;
-        bool placed = true;
-        while (placed && t.nextBlock < end_block) {
-            placed = false;
-            for (auto &core : cores) {
-                if (t.nextBlock >= end_block)
-                    break;
-                if (core->canAcceptBlock()) {
-                    core->launchBlock(t.nextBlock++);
-                    placed = true;
-                    placed_any = true;
-                }
-            }
-        }
-        return placed_any;
-    };
-    dispatch();
-
-    // Same cycle loop as GpuTop::run, on the persistent clock.
-    Cycle cycle = clock;
-    while (true) {
-        eq.runUntil(cycle);
-        bool all_idle = true;
-        bool all_quiescent = true;
-        Cycle wake = kCycleNever;
-        for (auto &core : cores) {
-            core->tick(cycle);
-            all_idle = all_idle && core->idle();
-            all_quiescent =
-                all_quiescent && core->lastTickQuiescent();
-            wake = std::min(wake, core->wakeHint());
-        }
-        const bool placed = dispatch();
-        if (all_idle && t.nextBlock >= end_block && eq.empty())
-            break;
-        if (telemetry != nullptr) {
-            if (cycle + 1 >= telemetry->nextBoundary()) {
-                for (auto &core : cores)
-                    core->flushDeferredCharges();
-            }
-            telemetry->tick(cycle);
-        }
-        if (all_quiescent && !placed) {
-            Cycle target = std::min(eq.nextEventCycle(), wake);
-            if (telemetry != nullptr) {
-                const Cycle nb = telemetry->nextBoundary();
-                target = nb == 0 ? cycle : std::min(target, nb - 1);
-            }
-            if (target != kCycleNever && target > cycle + 1) {
-                const Cycle n = target - (cycle + 1);
-                for (auto &core : cores)
-                    core->chargeSkipped(cycle, n);
-                cycle += n;
-            }
-        }
-        ++cycle;
-        if (cycle > sys.maxCycles) {
-            GPUMMU_FATAL("multi-tenant run exceeded ", sys.maxCycles,
-                         " cycles; deadlock or undersized budget");
-        }
-    }
+    const Cycle cycle =
+        runCycleLoop(cores, eq, telemetry, t.nextBlock, end_block,
+                     clock, sys.maxCycles)
+            .endCycle;
 
     for (auto &core : cores) {
-        core->flushDeferredCharges();
         core->mmu().endKernel();
         core->finalizeRun();
         t.res.instructions += core->instructionsIssued();

@@ -70,6 +70,30 @@ fail(std::string *err, const std::string &why)
     return false;
 }
 
+/** Why some point of @p grid cannot be built; empty when all can. */
+std::string
+geometryError(const DseGrid &grid)
+{
+    if (grid.numPoints() == 0)
+        return "an axis is empty";
+    for (std::size_t entries : grid.tlbEntries) {
+        for (std::size_t ways : grid.tlbWays) {
+            if (ways > entries || entries % ways != 0) {
+                return "tlb_entries " + std::to_string(entries) +
+                       " not divisible by tlb_ways " +
+                       std::to_string(ways);
+            }
+        }
+    }
+    for (std::size_t l2e : grid.l2tlbEntries) {
+        if (l2e != 0 && l2e % 8 != 0) {
+            return "l2tlb_entries " + std::to_string(l2e) +
+                   " not divisible by its 8 ways";
+        }
+    }
+    return {};
+}
+
 } // namespace
 
 std::size_t
@@ -83,6 +107,7 @@ DseGrid::numPoints() const
 bool
 parseGridSpec(const std::string &spec, DseGrid &out, std::string *err)
 {
+    DseGrid g = out;
     std::vector<std::string> fields;
     if (!splitList(spec, ';', fields))
         return fail(err, "empty grid spec");
@@ -95,23 +120,23 @@ parseGridSpec(const std::string &spec, DseGrid &out, std::string *err)
         const std::string vals = field.substr(eq + 1);
         bool ok = false;
         if (key == "tlb_entries") {
-            ok = parseUintList(vals, out.tlbEntries, false);
+            ok = parseUintList(vals, g.tlbEntries, false);
         } else if (key == "tlb_ways") {
-            ok = parseUintList(vals, out.tlbWays, false);
+            ok = parseUintList(vals, g.tlbWays, false);
         } else if (key == "tlb_ports") {
-            ok = parseUintList(vals, out.tlbPorts, false);
+            ok = parseUintList(vals, g.tlbPorts, false);
         } else if (key == "pwc_lines") {
-            ok = parseUintList(vals, out.pwcLines, true);
+            ok = parseUintList(vals, g.pwcLines, true);
         } else if (key == "l2tlb_entries") {
-            ok = parseUintList(vals, out.l2tlbEntries, true);
+            ok = parseUintList(vals, g.l2tlbEntries, true);
         } else if (key == "l2tlb_ports") {
-            ok = parseUintList(vals, out.l2tlbPorts, false);
+            ok = parseUintList(vals, g.l2tlbPorts, false);
         } else if (key == "walkers") {
             // "<n>" = n naive walkers, "<n>s" = scheduled walking
             // (the batch coalescer uses one walker; n must be 1).
             std::vector<std::string> toks;
             ok = splitList(vals, ',', toks);
-            out.walkers.clear();
+            g.walkers.clear();
             for (const std::string &tok0 : toks) {
                 std::string tok = tok0;
                 bool sched = false;
@@ -124,24 +149,24 @@ parseGridSpec(const std::string &spec, DseGrid &out, std::string *err)
                     ok = false;
                     break;
                 }
-                out.walkers.emplace_back(n, sched);
+                g.walkers.emplace_back(n, sched);
             }
-            ok = ok && !out.walkers.empty();
+            ok = ok && !g.walkers.empty();
         } else if (key == "page") {
             std::vector<std::string> toks;
             ok = splitList(vals, ',', toks);
-            out.largePages.clear();
+            g.largePages.clear();
             for (const std::string &tok : toks) {
                 if (tok == "4k") {
-                    out.largePages.push_back(false);
+                    g.largePages.push_back(false);
                 } else if (tok == "2m") {
-                    out.largePages.push_back(true);
+                    g.largePages.push_back(true);
                 } else {
                     ok = false;
                     break;
                 }
             }
-            ok = ok && !out.largePages.empty();
+            ok = ok && !g.largePages.empty();
         } else {
             return fail(err, "unknown grid knob '" + key + "'");
         }
@@ -149,6 +174,10 @@ parseGridSpec(const std::string &spec, DseGrid &out, std::string *err)
             return fail(err, "bad value list for grid knob '" + key +
                                  "': '" + vals + "'");
     }
+    const std::string why = geometryError(g);
+    if (!why.empty())
+        return fail(err, why);
+    out = g;
     return true;
 }
 
@@ -215,29 +244,17 @@ gridSpecString(const DseGrid &grid)
 std::vector<DseKnobs>
 expandGrid(const DseGrid &grid)
 {
-    auto bad = [](const std::string &why) {
+    const std::string why = geometryError(grid);
+    if (!why.empty())
         throw std::invalid_argument("grid: " + why);
-    };
-    if (grid.numPoints() == 0)
-        bad("an axis is empty");
 
     std::vector<DseKnobs> pts;
     pts.reserve(grid.numPoints());
-    for (std::size_t entries : grid.tlbEntries) {
-        for (std::size_t ways : grid.tlbWays) {
-            if (ways > entries || entries % ways != 0) {
-                bad("tlb_entries " + std::to_string(entries) +
-                    " not divisible by tlb_ways " +
-                    std::to_string(ways));
-            }
+    for (std::size_t entries : grid.tlbEntries)
+        for (std::size_t ways : grid.tlbWays)
             for (unsigned ports : grid.tlbPorts)
                 for (std::size_t pwc : grid.pwcLines)
-                    for (std::size_t l2e : grid.l2tlbEntries) {
-                        if (l2e != 0 && l2e % 8 != 0) {
-                            bad("l2tlb_entries " +
-                                std::to_string(l2e) +
-                                " not divisible by its 8 ways");
-                        }
+                    for (std::size_t l2e : grid.l2tlbEntries)
                         for (unsigned l2p : grid.l2tlbPorts)
                             for (const auto &[wn, ws] : grid.walkers)
                                 for (bool lp : grid.largePages) {
@@ -253,9 +270,6 @@ expandGrid(const DseGrid &grid)
                                     k.largePages = lp;
                                     pts.push_back(k);
                                 }
-                    }
-        }
-    }
     return pts;
 }
 

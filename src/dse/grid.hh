@@ -71,8 +71,9 @@ struct DseGrid
  * spec. Recognised keys: tlb_entries, tlb_ways, tlb_ports, pwc_lines,
  * l2tlb_entries, l2tlb_ports, walkers, page. Unknown keys, malformed
  * numbers (trailing garbage, overflow, zero where zero is
- * meaningless) and empty value lists all fail with a message in
- * @p err. Keys not mentioned keep their defaults.
+ * meaningless), empty value lists and geometry expandGrid() would
+ * reject all fail with a message in @p err and leave @p out as it
+ * was. Keys not mentioned keep their current values.
  */
 bool parseGridSpec(const std::string &spec, DseGrid &out,
                    std::string *err = nullptr);

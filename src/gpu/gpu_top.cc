@@ -127,95 +127,97 @@ GpuTop::setMemTrace(MemTraceWriter *writer)
     return true;
 }
 
-bool
-GpuTop::dispatchBlocks()
+namespace {
+
+/** Place pending blocks breadth-first: one block per core per round,
+ *  so occupancy spreads across the machine the way GPGPU-Sim
+ *  dispatches. */
+void
+dispatchBlocks(const std::vector<std::unique_ptr<ShaderCore>> &cores,
+               unsigned &next_block, unsigned end_block)
 {
-    // Breadth-first: one block per core per round, so occupancy
-    // spreads across the machine the way GPGPU-Sim dispatches.
-    bool placed_any = false;
     bool placed = true;
-    while (placed && nextBlock_ < launch_.totalBlocks) {
+    while (placed && next_block < end_block) {
         placed = false;
-        for (auto &core : cores_) {
-            if (nextBlock_ >= launch_.totalBlocks)
+        for (const auto &core : cores) {
+            if (next_block >= end_block)
                 break;
             if (core->canAcceptBlock()) {
-                core->launchBlock(nextBlock_++);
+                core->launchBlock(next_block++);
                 placed = true;
-                placed_any = true;
             }
         }
     }
-    return placed_any;
 }
 
-RunStats
-GpuTop::run(Cycle max_cycles)
-{
-    dispatchBlocks();
+} // namespace
 
-    Cycle cycle = 0;
-    std::uint64_t fast_forwarded = 0;
+CycleLoopStats
+runCycleLoop(const std::vector<std::unique_ptr<ShaderCore>> &cores,
+             EventQueue &eq, Telemetry *telemetry, unsigned &next_block,
+             unsigned end_block, Cycle start, Cycle max_cycles)
+{
+    CycleLoopStats st;
+    dispatchBlocks(cores, next_block, end_block);
+    Cycle cycle = start;
     while (true) {
-        eq_.runUntil(cycle);
-        bool all_idle = true;
-        bool all_quiescent = true;
-        Cycle wake = kCycleNever;
-        for (auto &core : cores_) {
-            core->tick(cycle);
-            all_idle = all_idle && core->idle();
-            all_quiescent =
-                all_quiescent && core->lastTickQuiescent();
-            wake = std::min(wake, core->wakeHint());
+        eq.runUntil(cycle);
+        for (const auto &core : cores) {
+            if (core->nextTick() <= cycle) {
+                core->tick(cycle);
+                ++st.coreTicks;
+            }
         }
-        const bool placed = dispatchBlocks();
-        if (all_idle && nextBlock_ >= launch_.totalBlocks &&
-            eq_.empty()) {
+        dispatchBlocks(cores, next_block, end_block);
+        if (next_block >= end_block && eq.empty() &&
+            std::all_of(cores.begin(), cores.end(),
+                        [](const auto &c) { return c->idle(); })) {
             break;
         }
-        if (telemetry_ != nullptr) {
-            // An interval boundary samples live counters: apply any
-            // deferred quiescent-streak charges first so the sampled
-            // values match the per-cycle loop exactly.
-            if (cycle + 1 >= telemetry_->nextBoundary()) {
-                for (auto &core : cores_)
-                    core->flushDeferredCharges();
+        // An interval boundary samples live counters: settle every
+        // core's pending charges first.
+        if (telemetry != nullptr) {
+            if (cycle + 1 >= telemetry->nextBoundary()) {
+                for (const auto &core : cores)
+                    core->settle(cycle + 1);
             }
-            telemetry_->tick(cycle);
+            telemetry->tick(cycle);
         }
 
-        // Fast-forward through quiescent windows: every core's tick
-        // was a pure re-chargeable stall scan, so nothing can happen
-        // before the next event fires or the earliest readyAt
-        // elapses. Jump there, batch-charging the identical per-cycle
-        // attribution for the skipped span. Telemetry caps the jump
-        // at its next interval boundary so sampled counters see every
-        // charge in order. Bit-exact with the per-cycle loop.
-        if (all_quiescent && !placed) {
-            Cycle target = std::min(eq_.nextEventCycle(), wake);
-            if (telemetry_ != nullptr) {
-                const Cycle nb = telemetry_->nextBoundary();
-                target = nb == 0 ? cycle : std::min(target, nb - 1);
-            }
-            if (target != kCycleNever && target > cycle + 1) {
-                const Cycle n = target - (cycle + 1);
-                for (auto &core : cores_)
-                    core->chargeSkipped(cycle, n);
-                cycle += n;
-                fast_forwarded += n;
+        // Nothing happens before the next event or the earliest wake:
+        // skip there, stopping at the cycle that closes the next
+        // telemetry interval.
+        Cycle next = cycle + 1;
+        Cycle target = eq.nextEventCycle();
+        if (target > next) {
+            for (const auto &core : cores)
+                target = std::min(target, core->nextTick());
+            if (telemetry != nullptr)
+                target = std::min(target, telemetry->nextBoundary() - 1);
+            if (target != kCycleNever && target > next) {
+                st.fastForwarded += target - next;
+                next = target;
             }
         }
-        ++cycle;
+        cycle = next;
         if (cycle > max_cycles) {
             GPUMMU_FATAL("simulation exceeded ", max_cycles,
                          " cycles; deadlock or undersized budget");
         }
     }
+    for (const auto &core : cores)
+        core->settle(cycle + 1);
+    st.endCycle = cycle;
+    return st;
+}
 
-    // Settle any deferred quiescent-streak charges before anything
-    // below reads counters or folds ledgers.
-    for (auto &core : cores_)
-        core->flushDeferredCharges();
+RunStats
+GpuTop::run(Cycle max_cycles)
+{
+    const CycleLoopStats loop =
+        runCycleLoop(cores_, eq_, telemetry_, nextBlock_,
+                     launch_.totalBlocks, 0, max_cycles);
+    const Cycle cycle = loop.endCycle;
 
     // Armed runs verify the drain invariants here: all blocking MMU
     // state (outstanding walks, drain waiters, queued batches) must
@@ -239,7 +241,8 @@ GpuTop::run(Cycle max_cycles)
     RunStats out;
     out.cycles = cycle;
     out.eventsFired = eq_.eventsFired();
-    out.cyclesFastForwarded = fast_forwarded;
+    out.cyclesFastForwarded = loop.fastForwarded;
+    out.coreTicks = loop.coreTicks;
     double tlb_lat_sum = 0.0;
     std::uint64_t tlb_lat_n = 0;
     double l1_lat_sum = 0.0;

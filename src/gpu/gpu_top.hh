@@ -49,11 +49,14 @@ struct RunStats
      *  not in dumpRunStatsJson: it is a simulator-internals metric,
      *  not a modelled-machine stat, and goldens predate it. */
     std::uint64_t eventsFired = 0;
-    /** Cycles the run loop fast-forwarded through quiescent windows
-     *  (batch-charged instead of ticked). Deterministic, simulator-
-     *  internals only; not in dumpRunStatsJson for the same reason
-     *  as eventsFired. */
+    /** Cycles the run loop skipped because no core was due and no
+     *  event pending. Deterministic, simulator-internals only; not
+     *  in dumpRunStatsJson for the same reason as eventsFired. */
     std::uint64_t cyclesFastForwarded = 0;
+    /** Core ticks the run loop executed, summed over cores (sleeping
+     *  cores are not ticked). Simulator-internals only, like
+     *  cyclesFastForwarded. */
+    std::uint64_t coreTicks = 0;
 
     double
     tlbMissRate() const
@@ -91,11 +94,12 @@ struct RunStats
 
     /**
      * Field-wise equality; the replay tests assert bit-identity.
-     * cyclesFastForwarded is deliberately excluded: armed telemetry
-     * caps fast-forward windows at its interval boundaries, so the
-     * *amount* skipped legitimately differs between otherwise
-     * bit-identical plain and armed runs. Every modelled quantity —
-     * including eventsFired — must still match exactly.
+     * cyclesFastForwarded and coreTicks are deliberately excluded:
+     * armed telemetry caps fast-forward windows at its interval
+     * boundaries, so the *amount* skipped legitimately differs
+     * between otherwise bit-identical plain and armed runs. Every
+     * modelled quantity — including eventsFired — must still match
+     * exactly.
      */
     bool
     operator==(const RunStats &o) const
@@ -122,6 +126,31 @@ struct RunStats
  * identical stats produce identical bytes.
  */
 void dumpRunStatsJson(std::ostream &os, const RunStats &s);
+
+/** Work counts of one cycle loop (simulator internals). */
+struct CycleLoopStats
+{
+    Cycle endCycle = 0; ///< the cycle the last core went idle
+    std::uint64_t fastForwarded = 0;
+    std::uint64_t coreTicks = 0;
+};
+
+/**
+ * The cycle loop. Starting at @p start, it places thread blocks
+ * [next_block, end_block) on @p cores breadth-first as slots free up
+ * and runs until every block has been placed and retired and @p eq
+ * has drained. Each cycle it fires the due events, then ticks the due
+ * cores in ascending index order: a wake raised while core i ticks
+ * reaches later cores in the same cycle and earlier ones in the
+ * next. When no core is due it jumps to the next event or the
+ * earliest wake, whichever comes first, capped so that @p telemetry
+ * (may be null) samples every interval boundary with all charges
+ * settled. Fatal past @p max_cycles.
+ */
+CycleLoopStats runCycleLoop(
+    const std::vector<std::unique_ptr<ShaderCore>> &cores,
+    EventQueue &eq, Telemetry *telemetry, unsigned &next_block,
+    unsigned end_block, Cycle start, Cycle max_cycles);
 
 class GpuTop
 {
@@ -197,9 +226,6 @@ class GpuTop
     EventQueue &eventQueue() { return eq_; }
 
   private:
-    /** Place pending blocks; true if any core accepted one. */
-    bool dispatchBlocks();
-
     PhysicalMemory phys_;
     AddressSpace as_;
     EventQueue eq_;

@@ -30,40 +30,27 @@ class ShaderCore
   public:
     virtual ~ShaderCore() = default;
 
+    /**
+     * Advance one cycle. Cores are event-driven: the cycle loop ticks
+     * a core only at cycles >= nextTick(), and a core pushes
+     * nextTick() out while no warp can issue. Cycles it sleeps
+     * through only repeat the last tick's stall charges; the core
+     * applies them when it next ticks or settles. Ticking a core at
+     * a cycle it did not ask for is always allowed.
+     */
     virtual void tick(Cycle now) = 0;
 
-    /**
-     * Fast-forward support. A tick is *quiescent* when it issued
-     * nothing, retired nothing and only charged stall attribution —
-     * so re-running it for the next k cycles is equivalent to
-     * chargeSkipped(now, k), provided no event fires, no warp's
-     * readyAt elapses (see wakeHint()) and no block is dispatched in
-     * between. Cores that cannot prove this (TBC) keep the defaults
-     * and simply never fast-forward.
-     */
-    virtual bool lastTickQuiescent() const { return false; }
-
-    /** Earliest cycle (> the last ticked one) at which a resident
-     *  warp wakes by timeout alone; kCycleNever if only events can
-     *  change this core's state. Valid after a quiescent tick. */
-    virtual Cycle wakeHint() const { return kCycleNever; }
-
-    /** Apply the per-cycle charges of @p n skipped quiescent cycles
-     *  following a quiescent tick at @p now. */
-    virtual void
-    chargeSkipped(Cycle now, Cycle n)
-    {
-        (void)now;
-        (void)n;
-    }
+    /** First cycle this core must tick at. Cores that never sleep
+     *  (TbcCore) leave it at 0 and are ticked every cycle. */
+    Cycle nextTick() const { return nextTick_; }
 
     /**
-     * Cores may defer the (identical) per-cycle stall charges of a
-     * quiescent streak and apply them in one batch. The top level
-     * flushes before anything samples live counters mid-run (a
-     * telemetry interval boundary) and once after the cycle loop.
+     * Apply every charge still pending for cycles before @p cycle
+     * (stall segments of waiting warps, idle counters of slept
+     * cycles). The cycle loop settles before a telemetry boundary
+     * samples the counters and once after its last cycle.
      */
-    virtual void flushDeferredCharges() {}
+    virtual void settle(Cycle cycle) { (void)cycle; }
 
     virtual bool canAcceptBlock() const = 0;
     virtual void launchBlock(unsigned global_block_id) = 0;
@@ -114,6 +101,18 @@ class ShaderCore
 
     virtual void regStats(StatRegistry &reg,
                           const std::string &prefix) = 0;
+
+  protected:
+    /** Tick no later than @p cycle; 0 means the next cycle the loop
+     *  visits. */
+    void
+    wakeAt(Cycle cycle)
+    {
+        if (cycle < nextTick_)
+            nextTick_ = cycle;
+    }
+
+    Cycle nextTick_ = 0;
 };
 
 } // namespace gpummu

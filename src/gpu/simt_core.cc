@@ -19,6 +19,9 @@ SimtCore::SimtCore(int core_id, const CoreConfig &cfg,
                   "threadsPerBlock must be a warp multiple");
     warps_.resize(cfg.numWarpSlots);
     blocks_.resize(cfg.numWarpSlots / warpsPerBlock());
+    // The blocking gate and the TLB-idle counter follow the MMU's
+    // outstanding set; the events that flip it must be seen.
+    mmu_.setMissListener([this]() { wakeAt(eq_.now()); });
 
     // Default scheduler; presets usually replace it.
     setScheduler(std::make_unique<LooseRoundRobin>(cfg.numWarpSlots));
@@ -131,7 +134,7 @@ SimtCore::launchBlock(unsigned global_block_id)
         ++liveWarps_;
     }
     GPUMMU_ASSERT(assigned == warpsPerBlock());
-    ++stateVersion_;
+    wakeAt(0);
 }
 
 const Instruction *
@@ -227,8 +230,10 @@ SimtCore::issueWarp(int wid, Cycle now)
     const Instruction *in = nextInstr(w);
     GPUMMU_ASSERT(in != nullptr);
     noteBlockEntry(w);
-    // ALU latency and branch pipelining are execution, not stalls.
+    // The wait after this issue is charged from the next cycle. ALU
+    // latency and branch pipelining are execution, not stalls.
     w.stallReason = StallReason::None;
+    w.stallSince = now + 1;
 
     auto &top = w.stack.top();
     switch (in->op) {
@@ -284,7 +289,7 @@ SimtCore::issueWarp(int wid, Cycle now)
                 Warp &ww = warps_[static_cast<std::size_t>(wid)];
                 ww.state = WarpState::Ready;
                 ww.readyAt = ready;
-                ++stateVersion_;
+                wakeAt(ready);
             });
         if (result == MemIssueResult::BlockedTlbBusy) {
             // Swapped out: retry this instruction after the MMU
@@ -296,7 +301,7 @@ SimtCore::issueWarp(int wid, Cycle now)
                 if (ww.state == WarpState::WaitingTlbDrain) {
                     ww.state = WarpState::Ready;
                     ww.readyAt = eq_.now() + 1;
-                    ++stateVersion_;
+                    wakeAt(ww.readyAt);
                 }
             });
             return true;
@@ -317,93 +322,64 @@ SimtCore::issueWarp(int wid, Cycle now)
 void
 SimtCore::tick(Cycle now)
 {
-    quiescent_ = false;
-    wakeHint_ = kCycleNever;
-    if (liveWarps_ == 0) {
-        // Nothing resident: ticking is a no-op (the scheduler is not
-        // consulted on this path either), so repeats are free.
-        quiescent_ = true;
-        return;
-    }
-
-    const bool mem_available = mmu_.memAvailable();
-    const bool miss_out = mmu_.missOutstanding();
-    if (memoValid_ && stateVersion_ == memoVersion_ &&
-        mem_available == memoMemAvail_ && miss_out == memoMissOut_ &&
-        now < wakeAt_) {
-        // Nothing the last quiescent scan depended on has changed:
-        // this cycle charges exactly the same cells. Defer it.
-        ++pendingRepeat_;
-        quiescent_ = true;
-        wakeHint_ = wakeAt_;
-        return;
-    }
-    flushDeferredCharges();
-    memoValid_ = false;
-    chargeProgram_.clear();
-    wakeAt_ = kCycleNever;
+    chargeSleep(now);
+    // Wakes raised during this tick lower this; the scan adds the
+    // cycles at which the warps it saw can issue.
+    nextTick_ = kCycleNever;
+    idleFrom_ = now + 1;
+    sleepIdle_ = false;
+    if (liveWarps_ == 0)
+        return; // asleep until a block launches
 
     sched_->tick(now);
-    bool retired = false;
+    const bool mem_available = mmu_.memAvailable();
+    Cycle wake = sched_->tickIsPure() ? kCycleNever : now + 1;
 
     // Collect issueable warps. Memory warps are filtered by the
-    // blocking policy and the scheduler's throttle. Every resident
-    // warp that cannot issue this cycle has the cycle charged to at
-    // most one stall cause (ALU latency and the scheduler's own
-    // throttle stay unattributed, which keeps per-warp totals below
-    // the run's cycle count).
+    // blocking policy and the scheduler's throttle. A warp that cannot
+    // issue keeps its stall segment open; the segment is charged when
+    // the warp first becomes eligible. A ready memory warp gated by
+    // the blocking TLB is charged tlb_miss from then on (ALU latency
+    // and the scheduler's own throttle stay unattributed, which keeps
+    // per-warp totals below the run's cycle count).
     std::vector<int> &issuable = issuableScratch_;
     issuable.clear();
     bool any_ready_mem_blocked = false;
     for (std::size_t wid = 0; wid < warps_.size(); ++wid) {
         Warp &w = warps_[wid];
-        if (!w.valid)
-            continue;
-        const int iw = static_cast<int>(wid);
-        if (w.state == WarpState::WaitingMem) {
-            stalls_.attribute(iw, w.stallReason);
-            chargeProgram_.push_back({iw, w.stallReason});
-            continue;
-        }
-        if (w.state == WarpState::WaitingTlbDrain) {
-            stalls_.attribute(iw, StallReason::WalkerStructural);
-            chargeProgram_.push_back(
-                {iw, StallReason::WalkerStructural});
-            continue;
-        }
-        if (w.state != WarpState::Ready)
+        if (!w.valid || w.state != WarpState::Ready)
             continue;
         if (w.readyAt > now) {
-            stalls_.attribute(iw, w.stallReason);
-            chargeProgram_.push_back({iw, w.stallReason});
-            wakeHint_ = std::min(wakeHint_, w.readyAt);
+            wake = std::min(wake, w.readyAt);
             continue;
         }
+        const int iw = static_cast<int>(wid);
         const Instruction *in = nextInstr(w);
         if (in == nullptr) {
+            closeStall(iw, w, now);
             retireWarp(iw, w);
-            retired = true;
             continue;
         }
         const bool is_mem =
             in->op == Opcode::Load || in->op == Opcode::Store;
-        if (is_mem) {
-            if (!mem_available) {
-                // The blocking TLB's gate: walks are outstanding.
-                any_ready_mem_blocked = true;
-                stalls_.attribute(iw, StallReason::TlbMiss);
-                chargeProgram_.push_back({iw, StallReason::TlbMiss});
-                continue;
+        if (is_mem && !mem_available) {
+            // The blocking TLB's gate: walks are outstanding. It
+            // opens only when the MMU drains, which wakes the core.
+            any_ready_mem_blocked = true;
+            if (w.stallReason != StallReason::TlbMiss) {
+                closeStall(iw, w, now);
+                w.stallReason = StallReason::TlbMiss;
             }
-            if (!sched_->mayIssueMem(iw)) {
-                any_ready_mem_blocked = true;
-                continue;
-            }
+            continue;
+        }
+        closeStall(iw, w, now);
+        if (is_mem && !sched_->mayIssueMem(iw)) {
+            any_ready_mem_blocked = true;
+            wake = now + 1;
+            continue;
         }
         issuable.push_back(iw);
     }
-
-    const bool scan_empty = issuable.empty();
 
     unsigned issued = 0;
     bool mem_issued = false;
@@ -418,17 +394,22 @@ SimtCore::tick(Cycle now)
         const Instruction *in = nextInstr(w);
         if (in == nullptr) {
             retireWarp(wid, w);
-            retired = true;
             continue;
         }
         const bool is_mem =
             in->op == Opcode::Load || in->op == Opcode::Store;
-        if (is_mem && mem_issued)
-            continue; // one LSU: try another warp this cycle
+        if (is_mem && mem_issued) {
+            wake = now + 1; // one LSU: try again next cycle
+            continue;
+        }
         if (issueWarp(wid, now))
             mem_issued = true;
         ++issued;
+        if (w.valid && w.state == WarpState::Ready)
+            wake = std::min(wake, std::max(w.readyAt, now + 1));
     }
+    if (!issuable.empty())
+        wake = now + 1;
 
     if (issued == 0 && liveWarps_ > 0) {
         idleCycles_.inc();
@@ -438,52 +419,43 @@ SimtCore::tick(Cycle now)
             memBlockedCycles_.inc();
     }
 
-    // A quiescent tick only charged attribution: nothing issued or
-    // retired and the scan produced no issuable warp, so pick() was
-    // never consulted. With a pure scheduler, re-running it is
-    // side-effect-free until an event fires, a readyAt elapses or a
-    // warp-state mutation bumps stateVersion_ — so memoize it.
-    quiescent_ = issued == 0 && !retired && scan_empty &&
-                 sched_->tickIsPure();
-    if (quiescent_) {
-        memoValid_ = true;
-        memoVersion_ = stateVersion_;
-        memoMemAvail_ = mem_available;
-        memoMissOut_ = miss_out;
-        wakeAt_ = wakeHint_;
-        chargeTlbIdle_ = miss_out;
-        chargeMemBlocked_ = any_ready_mem_blocked;
-    }
+    // Until the wake cycle nothing can issue: the gated warps stay
+    // gated and the MMU's outstanding set keeps its emptiness (a flip
+    // wakes the core), so each slept cycle counts like these flags.
+    sleepIdle_ = liveWarps_ > 0;
+    sleepTlbIdle_ = mmu_.missOutstanding();
+    sleepMemBlocked_ = any_ready_mem_blocked;
+    nextTick_ = std::min(nextTick_, wake);
 }
 
 void
-SimtCore::chargeSkipped(Cycle now, Cycle n)
+SimtCore::chargeSleep(Cycle upto)
 {
-    (void)now;
-    if (liveWarps_ == 0)
+    if (upto <= idleFrom_)
         return;
-    // GpuTop only calls this right after a quiescent tick, whose
-    // memoized charge program is exactly what every skipped cycle
-    // would have charged. Defer: flushDeferredCharges() multiplies.
-    GPUMMU_ASSERT(memoValid_);
-    pendingRepeat_ += n;
-}
-
-void
-SimtCore::flushDeferredCharges()
-{
-    if (pendingRepeat_ == 0)
+    const Cycle n = upto - idleFrom_;
+    idleFrom_ = upto;
+    if (!sleepIdle_)
         return;
-    const Cycle n = pendingRepeat_;
-    pendingRepeat_ = 0;
-    for (const ChargeEntry &e : chargeProgram_)
-        stalls_.attribute(e.warp, e.reason, n);
-    // A quiescent tick with resident warps always counts idle.
     idleCycles_.inc(n);
-    if (chargeTlbIdle_)
+    if (sleepTlbIdle_)
         tlbIdleCycles_.inc(n);
-    if (chargeMemBlocked_)
+    if (sleepMemBlocked_)
         memBlockedCycles_.inc(n);
+}
+
+void
+SimtCore::settle(Cycle cycle)
+{
+    chargeSleep(cycle);
+    for (std::size_t wid = 0; wid < warps_.size(); ++wid) {
+        Warp &w = warps_[wid];
+        if (!w.valid || w.stallSince >= cycle)
+            continue;
+        stalls_.attribute(static_cast<int>(wid), w.stallReason,
+                          cycle - w.stallSince);
+        w.stallSince = cycle;
+    }
 }
 
 void

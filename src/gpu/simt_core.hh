@@ -84,13 +84,14 @@ class SimtCore : public ShaderCore
     /** Launch thread block @p global_block_id onto this core. */
     void launchBlock(unsigned global_block_id) override;
 
-    /** Advance one cycle. */
+    /**
+     * Advance one cycle, then sleep until the earliest cycle a warp
+     * can issue. Wakes: a block launch, a memory completion (at its
+     * ready cycle), a TLB-drain callback, and the MMU's outstanding
+     * set turning empty or non-empty.
+     */
     void tick(Cycle now) override;
-
-    bool lastTickQuiescent() const override { return quiescent_; }
-    Cycle wakeHint() const override { return wakeHint_; }
-    void chargeSkipped(Cycle now, Cycle n) override;
-    void flushDeferredCharges() override;
+    void settle(Cycle cycle) override;
 
     /** True when no resident warps remain. */
     bool idle() const override { return liveWarps_ == 0; }
@@ -154,8 +155,13 @@ class SimtCore : public ShaderCore
          */
         std::vector<VirtAddr> pendingAddrs;
         bool hasPendingAddrs = false;
-        /** Cause the warp's current wait is attributed to. */
+        /**
+         * The open stall segment: every cycle from stallSince on is
+         * charged to stallReason, in one attribute() call when the
+         * scan first sees the warp eligible (or at settle()).
+         */
         StallReason stallReason = StallReason::None;
+        Cycle stallSince = 0;
     };
 
     struct ResidentBlock
@@ -173,6 +179,19 @@ class SimtCore : public ShaderCore
     /** Execute one instruction for warp @p wid. @return true if a
      *  memory instruction was issued. */
     bool issueWarp(int wid, Cycle now);
+
+    /** Charge @p w's open stall segment up to @p now and close it. */
+    void
+    closeStall(int wid, Warp &w, Cycle now)
+    {
+        stalls_.attribute(wid, w.stallReason, now - w.stallSince);
+        w.stallReason = StallReason::None;
+        w.stallSince = now;
+    }
+
+    /** Apply the idle counters of the cycles slept through before
+     *  @p upto. */
+    void chargeSleep(Cycle upto);
 
     void executeBranch(Warp &w, const Instruction &in);
     void executeExit(int wid, Warp &w);
@@ -210,37 +229,15 @@ class SimtCore : public ShaderCore
      *  path does not allocate (tick dominates the profile). */
     std::vector<int> issuableScratch_;
 
-    /** Set by tick(): was the last tick quiescent (nothing issued,
-     *  retired or mutated), and when does the earliest Ready warp
-     *  wake by timeout? Consumed by GpuTop's fast-forward. */
-    bool quiescent_ = false;
-    Cycle wakeHint_ = kCycleNever;
-
     /**
-     * Memoized quiescent tick. A quiescent full scan records its
-     * exact per-cycle charges (chargeProgram_ + the idle-counter
-     * flags) and the inputs they depended on. While the inputs hold —
-     * no warp-state mutation (stateVersion_), same MMU gate and
-     * outstanding-miss answers, and no readyAt elapsed (wakeAt_) —
-     * each subsequent tick is O(1): bump pendingRepeat_ and return.
-     * flushDeferredCharges() applies program x pendingRepeat_ before
-     * anything can observe the counters or the state changes.
+     * Idle counters for slept cycles. Every cycle from idleFrom_ to
+     * the next tick issues nothing, so it counts exactly as the
+     * flags captured at the end of the last tick say.
      */
-    struct ChargeEntry
-    {
-        int warp;
-        StallReason reason;
-    };
-    std::vector<ChargeEntry> chargeProgram_;
-    bool chargeTlbIdle_ = false;
-    bool chargeMemBlocked_ = false;
-    bool memoValid_ = false;
-    std::uint64_t stateVersion_ = 0;
-    std::uint64_t memoVersion_ = 0;
-    bool memoMemAvail_ = false;
-    bool memoMissOut_ = false;
-    Cycle wakeAt_ = kCycleNever;
-    Cycle pendingRepeat_ = 0;
+    Cycle idleFrom_ = 0;
+    bool sleepIdle_ = false;
+    bool sleepTlbIdle_ = false;
+    bool sleepMemBlocked_ = false;
 
     Counter instrs_;
     Counter aluInstrs_;

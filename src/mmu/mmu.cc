@@ -150,6 +150,8 @@ Mmu::finishWalk(Vpn tag, std::uint64_t frame_base, bool is_large,
                   "walk completion for unknown VPN");
     auto waiters = std::move(it->second);
     outstanding_.erase(it);
+    if (outstanding_.empty() && missListener_)
+        missListener_();
 
     auto start_it = missStart_.find(tag);
     GPUMMU_ASSERT(start_it != missStart_.end());
@@ -215,6 +217,7 @@ Mmu::requestWalks(const std::vector<Vpn> &vpns, int warp_id, Cycle now,
                   WalkDoneFn done)
 {
     GPUMMU_ASSERT(cfg_.enabled);
+    const bool was_idle = outstanding_.empty();
     std::vector<Vpn> to_walk;
     to_walk.reserve(vpns.size());
     for (Vpn vpn : vpns) {
@@ -236,6 +239,8 @@ Mmu::requestWalks(const std::vector<Vpn> &vpns, int warp_id, Cycle now,
     }
     if (to_walk.empty())
         return;
+    if (was_idle && missListener_)
+        missListener_();
 
     if (l2_ == nullptr) {
         issueWalks(to_walk, warp_id, now, {});

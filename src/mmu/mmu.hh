@@ -174,6 +174,17 @@ class Mmu
     void onDrain(std::function<void()> fn);
 
     bool missOutstanding() const { return !outstanding_.empty(); }
+
+    /**
+     * Call @p fn whenever missOutstanding() flips: the first walk of
+     * a miss set starts, or the last outstanding one retires. The
+     * blocking gate (memAvailable()) can only change there.
+     */
+    void
+    setMissListener(std::function<void()> fn)
+    {
+        missListener_ = std::move(fn);
+    }
     std::size_t outstandingCount() const { return outstanding_.size(); }
 
     /**
@@ -327,6 +338,7 @@ class Mmu
     std::map<Vpn, std::vector<WalkDoneFn>> outstanding_;
     std::map<Vpn, Cycle> missStart_;
     std::vector<std::function<void()>> drainWaiters_;
+    std::function<void()> missListener_;
 
     Counter mergedWalks_;
     Counter shootdowns_;

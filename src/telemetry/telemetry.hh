@@ -206,8 +206,9 @@ class Telemetry
     }
 
     /** Cycle boundary the next interval closes at. The cycle loop
-     *  must not fast-forward past nextBoundary() - 1: the counters an
-     *  interval samples have to be fully charged before it closes. */
+     *  must visit cycle nextBoundary() - 1 and settle every core
+     *  there, sleeping ones included: the counters an interval
+     *  samples have to be fully charged before it closes. */
     Cycle nextBoundary() const { return nextBoundary_; }
 
     /** End of run at @p cycles: close the partial tail interval and

@@ -73,8 +73,8 @@ dominantStall(StallReason a, StallReason b)
 }
 
 /**
- * Per-warp-slot stall cycle ledger for one core. attribute() is
- * called at most once per (warp, cycle); finalize() folds the ledger
+ * Per-warp-slot stall cycle ledger for one core. Each (warp, cycle)
+ * is charged at most once; finalize() folds the ledger
  * into per-reason histograms (one sample per warp slot that stalled
  * for that reason) before the registry is dumped.
  */
@@ -91,9 +91,9 @@ class WarpStallAccounting
     }
 
     /**
-     * Charge @p cycles cycles at once, used when the core
-     * fast-forwards through a quiescent window in which the warp
-     * would have received the same attribution every cycle.
+     * Charge @p cycles cycles at once: SimtCore charges each wait in
+     * one call, when the warp can issue again (or at a settle), for
+     * every cycle since the wait began.
      */
     void
     attribute(int warp, StallReason reason, std::uint64_t cycles)

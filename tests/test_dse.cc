@@ -216,13 +216,23 @@ TEST(Grid, RejectsMalformedSpecs)
 
 TEST(Grid, ExpansionValidatesGeometry)
 {
+    // Unbuildable geometry fails at parse time, naming the knob, so
+    // the CLI reports it as a usage error instead of terminating.
     DseGrid g;
     std::string err;
-    ASSERT_TRUE(
-        parseGridSpec("tlb_entries=96;tlb_ways=64", g, &err));
-    EXPECT_THROW(expandGrid(g), std::invalid_argument);
+    EXPECT_FALSE(parseGridSpec("tlb_entries=96;tlb_ways=64", g, &err));
+    EXPECT_FALSE(parseGridSpec("tlb_entries=96;tlb_ways=7", g, &err));
+    EXPECT_NE(err.find("tlb_ways 7"), std::string::npos) << err;
+    EXPECT_FALSE(parseGridSpec("l2tlb_entries=100", g, &err));
+    EXPECT_FALSE(parseGridSpec("l2tlb_entries=3", g, &err));
+    EXPECT_NE(err.find("l2tlb_entries 3"), std::string::npos) << err;
+    // A grid built without the parser is still checked on expansion.
+    DseGrid g1;
+    g1.tlbEntries = {96};
+    g1.tlbWays = {64};
+    EXPECT_THROW(expandGrid(g1), std::invalid_argument);
     DseGrid g2;
-    ASSERT_TRUE(parseGridSpec("l2tlb_entries=100", g2, &err));
+    g2.l2tlbEntries = {100};
     EXPECT_THROW(expandGrid(g2), std::invalid_argument);
 }
 

@@ -79,6 +79,21 @@ TEST(Simbench, BackToBackRunsReportIdenticalCyclesAndEvents)
     EXPECT_TRUE(first == second);
     EXPECT_GT(first.cycles, 0u);
     EXPECT_GT(first.eventsFired, 0u);
+    EXPECT_EQ(first.coreTicks, second.coreTicks);
+}
+
+TEST(Simbench, SleepingCoresSkipMostTicks)
+{
+    // Pathfinder's 30 cores are idle in most core-cycles; a core that
+    // cannot issue sleeps instead of being ticked, so the loop runs
+    // far fewer ticks than cores x cycles.
+    WorkloadParams params;
+    params.scale = 0.03;
+    params.seed = 42;
+    const SystemConfig cfg = presets::augmentedTlb();
+    const RunStats s = runConfig(BenchmarkId::Pathfinder, cfg, params);
+    EXPECT_GT(s.coreTicks, 0u);
+    EXPECT_LT(s.coreTicks, cfg.numCores * s.cycles / 10);
 }
 
 // ---------------------------------------------------------------------
