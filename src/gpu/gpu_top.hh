@@ -95,7 +95,8 @@ struct RunStats
     /**
      * Field-wise equality; the replay tests assert bit-identity.
      * cyclesFastForwarded and coreTicks are deliberately excluded:
-     * armed telemetry caps fast-forward windows at its interval
+     * they count simulator work, not the modelled machine, and armed
+     * telemetry caps fast-forward windows at its interval
      * boundaries, so the *amount* skipped legitimately differs
      * between otherwise bit-identical plain and armed runs. Every
      * modelled quantity — including eventsFired — must still match
@@ -130,7 +131,7 @@ void dumpRunStatsJson(std::ostream &os, const RunStats &s);
 /** Work counts of one cycle loop (simulator internals). */
 struct CycleLoopStats
 {
-    Cycle endCycle = 0; ///< the cycle the last core went idle
+    Cycle endCycle = 0; ///< last simulated cycle
     std::uint64_t fastForwarded = 0;
     std::uint64_t coreTicks = 0;
 };

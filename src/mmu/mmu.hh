@@ -174,6 +174,7 @@ class Mmu
     void onDrain(std::function<void()> fn);
 
     bool missOutstanding() const { return !outstanding_.empty(); }
+    std::size_t outstandingCount() const { return outstanding_.size(); }
 
     /**
      * Call @p fn whenever missOutstanding() flips: the first walk of
@@ -185,7 +186,6 @@ class Mmu
     {
         missListener_ = std::move(fn);
     }
-    std::size_t outstandingCount() const { return outstanding_.size(); }
 
     /**
      * Residency probe by local VPN. The L1 TLB stores ASID-composed
