@@ -10,36 +10,29 @@
  *   --jobs=<n>    sweep worker threads (default: GPUMMU_JOBS env,
  *                 else all hardware threads; results are identical
  *                 at any job count)
- *   --trace=<file>         after the sweep, re-run one point with
- *                          event tracing armed and write Chrome
- *                          trace-event JSON (open in Perfetto or
- *                          chrome://tracing)
+ *   --trace=<file>         write Chrome trace-event JSON (open in
+ *                          Perfetto or chrome://tracing)
  *   --trace-filter=<pfx>   restrict the trace to categories whose
  *                          name starts with <pfx> (tlb, ptw,
  *                          coalescer, l1, l2, l2tlb, dram, core)
- *   --sample-interval=<n>  telemetry sampling interval in cycles for
- *                          the re-run point (enables telemetry)
+ *   --sample-interval=<n>  telemetry sampling interval in cycles
+ *                          (enables telemetry)
  *   --sample-out=<file>    write the interval series to <file>; the
  *                          extension picks the format (.csv or .json)
  *   --report=<file>        write a self-contained HTML run report
- *   --capture-trace=<file> after the sweep, re-run one point with
- *                          memory-trace capture armed and write a
- *                          replayable memtrace (see
+ *   --capture-trace=<file> write a replayable memtrace (see
  *                          bench/trace_replay)
- *   --spans=<file>         after the sweep, re-run one point with
- *                          translation-lifecycle span tracking armed
- *                          and export the per-stage latency
- *                          decomposition; the extension picks the
- *                          format (.csv or .json). Combined with
- *                          --trace, one run serves both so the
- *                          Chrome trace carries span flow arrows;
- *                          combined with --report, the HTML report
- *                          gains a translation-latency-anatomy
- *                          section.
+ *   --spans=<file>         export the translation-lifecycle per-stage
+ *                          latency decomposition; the extension picks
+ *                          the format (.csv or .json). Combined with
+ *                          --trace, the Chrome trace carries span
+ *                          flow arrows; combined with --report, the
+ *                          HTML report gains a
+ *                          translation-latency-anatomy section.
  *
- * Telemetry, tracing, trace capture and span tracking are
- * observation-only re-runs of one point after the sweep; arming them
- * never changes any table number.
+ * After the sweep, one observation-only re-run of one point serves
+ * every requested export (observeRun); arming it never changes any
+ * table number.
  *
  * All numeric flags parse strictly (sim/parse_util.hh): the whole
  * value must be a number — "--jobs=4abc" is an error, not 4.
@@ -50,7 +43,9 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -67,12 +62,13 @@
 namespace gpummu {
 namespace benchutil {
 
-struct Options
+/**
+ * The exports one armed run can serve, as requested on a command
+ * line; observeRun() honors them. Shared by every bench binary's
+ * Options and by front ends with their own flag parsing.
+ */
+struct ObserveOptions
 {
-    WorkloadParams params;
-    std::vector<BenchmarkId> benchmarks;
-    /** Sweep worker threads; 0 resolves via GPUMMU_JOBS. */
-    unsigned jobs = 0;
     /** Chrome trace output path; empty disables tracing. */
     std::string traceFile;
     /** Category-name prefix filter for the traced run. */
@@ -88,6 +84,22 @@ struct Options
     /** Span export path (.csv or .json); empty disables spans. */
     std::string spansFile;
 };
+
+struct Options : ObserveOptions
+{
+    WorkloadParams params;
+    std::vector<BenchmarkId> benchmarks;
+    /** Sweep worker threads; 0 resolves via GPUMMU_JOBS. */
+    unsigned jobs = 0;
+};
+
+inline bool
+endsWith(const std::string &s, const std::string &suffix)
+{
+    return s.size() >= suffix.size() &&
+           s.compare(s.size() - suffix.size(), suffix.size(),
+                     suffix) == 0;
+}
 
 /**
  * Parse the shared bench CLI into @p opt. Returns false with a
@@ -155,14 +167,8 @@ tryParse(int argc, char **argv, Options &opt, std::string &err,
             }
         } else if (const char *v = value("--sample-out")) {
             opt.sampleOut = v;
-            const std::string &p = opt.sampleOut;
-            auto ends = [&p](const char *suf) {
-                const std::string s = suf;
-                return p.size() >= s.size() &&
-                       p.compare(p.size() - s.size(), s.size(), s) ==
-                           0;
-            };
-            if (p.empty() || (!ends(".csv") && !ends(".json"))) {
+            if (!endsWith(opt.sampleOut, ".csv") &&
+                !endsWith(opt.sampleOut, ".json")) {
                 err = "--sample-out wants a .csv or .json path";
                 return false;
             }
@@ -180,14 +186,8 @@ tryParse(int argc, char **argv, Options &opt, std::string &err,
             }
         } else if (const char *v = value("--spans")) {
             opt.spansFile = v;
-            const std::string &p = opt.spansFile;
-            auto ends = [&p](const char *suf) {
-                const std::string s = suf;
-                return p.size() >= s.size() &&
-                       p.compare(p.size() - s.size(), s.size(), s) ==
-                           0;
-            };
-            if (p.empty() || (!ends(".csv") && !ends(".json"))) {
+            if (!endsWith(opt.spansFile, ".csv") &&
+                !endsWith(opt.spansFile, ".json")) {
                 err = "--spans wants a .csv or .json path";
                 return false;
             }
@@ -252,195 +252,130 @@ prewarm(Experiment &exp, const std::vector<BenchmarkId> &benchmarks,
     SweepRunner(exp, jobs).run(grid);
 }
 
+/** One simulation with the given observers armed (any may be
+ *  null); observeRun() supplies them. */
+using ArmedRun = std::function<void(TraceSink *, Telemetry *,
+                                    MemTraceWriter *, SpanTracker *)>;
+
 /**
- * Honor --trace=<file>: re-simulate one (benchmark, config) point
- * with a TraceSink armed and export Chrome trace-event JSON. A sink
- * belongs to exactly one run, so this is a separate simulation after
- * the sweep - the table numbers above are untouched (armed and
- * unarmed runs are bit-identical anyway). Uses the first selected
- * benchmark; narrow with --bench=<name> to trace a specific one.
+ * Serve every export @p obs requests - Chrome trace, span table,
+ * telemetry samples, HTML report, memtrace capture - from one armed
+ * simulation, @p run, and write a status line per export to @p log,
+ * tagged with @p label. Observers are observation-only, so the run
+ * reproduces the unarmed one bit for bit and each export is
+ * byte-identical to a run armed with that observer alone. With
+ * --trace and --spans together, the trace carries the span flow
+ * arrows; with --report and --spans, the report gains the
+ * translation-latency-anatomy section. A failed write, an empty span
+ * table (no translation request observed) or a report with an empty
+ * hot-page table exits 1.
  */
 inline void
-maybeTraceRun(const Options &opt, const SystemConfig &cfg)
+observeRun(const ObserveOptions &obs, const std::string &label,
+           std::ostream &log, const ArmedRun &run)
 {
-    if (opt.traceFile.empty())
+    const bool tracing = !obs.traceFile.empty();
+    const bool spanning = !obs.spansFile.empty();
+    if (!tracing && !spanning && obs.sampleInterval == 0 &&
+        obs.captureTrace.empty()) {
         return;
+    }
     TraceSink sink;
-    if (!opt.traceFilter.empty())
-        sink.setFilter(opt.traceFilter);
-    const BenchmarkId bench = opt.benchmarks.front();
-    runConfigFull(bench, cfg, opt.params, &sink);
-    if (!sink.writeChromeTraceFile(opt.traceFile)) {
-        std::cerr << "failed to write trace: " << opt.traceFile
-                  << "\n";
-        std::exit(1);
+    if (!obs.traceFilter.empty())
+        sink.setFilter(obs.traceFilter);
+    std::unique_ptr<Telemetry> telemetry;
+    if (obs.sampleInterval != 0) {
+        TelemetryConfig tcfg;
+        tcfg.sampleInterval = obs.sampleInterval;
+        telemetry = std::make_unique<Telemetry>(tcfg);
     }
-    std::cerr << "trace: " << sink.size() << " events ("
-              << sink.dropped() << " dropped) -> " << opt.traceFile
-              << " [" << benchmarkName(bench) << " / " << cfg.name
-              << "]\n";
-}
-
-/**
- * Honor --sample-interval / --sample-out / --report: re-simulate one
- * (benchmark, config) point with telemetry armed and export the
- * interval series (CSV or JSON by extension) and/or the HTML run
- * report. Telemetry belongs to exactly one run, so like tracing this
- * is a separate simulation after the sweep; armed and unarmed runs
- * are bit-identical, so the table numbers above are untouched.
- */
-inline void
-maybeTelemetryRun(const Options &opt, const SystemConfig &cfg)
-{
-    if (opt.sampleInterval == 0)
-        return;
-    TelemetryConfig tcfg;
-    tcfg.sampleInterval = opt.sampleInterval;
-    Telemetry telemetry(tcfg);
-    // When spans are requested alongside a report, arm them on the
-    // telemetry run too so the HTML report gains the translation-
-    // latency-anatomy section (spans register no stats, so the run
-    // is bit-identical either way).
     SpanTracker spans;
-    SpanTracker *span_arm =
-        (!opt.spansFile.empty() && !opt.reportFile.empty()) ? &spans
-                                                            : nullptr;
-    const BenchmarkId bench = opt.benchmarks.front();
-    runConfigFull(bench, cfg, opt.params, nullptr, &telemetry,
-                  nullptr, span_arm);
-    if (!opt.sampleOut.empty()) {
-        const bool csv =
-            opt.sampleOut.size() >= 4 &&
-            opt.sampleOut.compare(opt.sampleOut.size() - 4, 4,
-                                  ".csv") == 0;
-        const bool ok = csv
-                            ? telemetry.writeCsvFile(opt.sampleOut)
-                            : telemetry.writeJsonFile(opt.sampleOut);
-        if (!ok) {
-            std::cerr << "failed to write samples: " << opt.sampleOut
-                      << "\n";
-            std::exit(1);
-        }
-        std::cerr << "telemetry: "
-                  << telemetry.sampler().intervals().size()
-                  << " intervals -> " << opt.sampleOut << " ["
-                  << benchmarkName(bench) << " / " << cfg.name
-                  << "]\n";
+    std::unique_ptr<MemTraceWriter> writer;
+    if (!obs.captureTrace.empty())
+        writer = std::make_unique<MemTraceWriter>(obs.captureTrace);
+    run(tracing ? &sink : nullptr, telemetry.get(), writer.get(),
+        spanning ? &spans : nullptr);
+
+    auto fail = [](const std::string &msg) {
+        std::cerr << msg << "\n";
+        std::exit(1);
+    };
+    const std::string tag = " [" + label + "]\n";
+    if (tracing) {
+        if (!sink.writeChromeTraceFile(obs.traceFile))
+            fail("failed to write trace: " + obs.traceFile);
+        log << "trace: " << sink.size() << " events ("
+            << sink.dropped() << " dropped) -> " << obs.traceFile
+            << tag;
     }
-    if (!opt.reportFile.empty()) {
-        if (!writeHtmlReportFile(opt.reportFile, telemetry,
-                                 span_arm)) {
-            std::cerr << "report has an empty hot-page table (no "
-                         "walks attributed): "
-                      << opt.reportFile << "\n";
-            std::exit(1);
+    if (spanning) {
+        if (spans.empty()) {
+            fail("span table is empty: no translation requests were "
+                 "observed [" +
+                 label + "]");
         }
-        std::cerr << "report: " << telemetry.heat().pages().size()
-                  << " pages, " << telemetry.heat().lines().size()
-                  << " page-table lines -> " << opt.reportFile
-                  << "\n";
+        const bool ok = endsWith(obs.spansFile, ".csv")
+                            ? spans.writeCsvFile(obs.spansFile)
+                            : spans.writeJsonFile(obs.spansFile);
+        if (!ok)
+            fail("failed to write spans: " + obs.spansFile);
+        spans.writeSummary(log);
+        log << "spans: " << spans.spansClosed() << " closed ("
+            << spans.spansOpen() << " open at end) -> "
+            << obs.spansFile << tag;
     }
+    if (telemetry && !obs.sampleOut.empty()) {
+        const bool ok = endsWith(obs.sampleOut, ".csv")
+                            ? telemetry->writeCsvFile(obs.sampleOut)
+                            : telemetry->writeJsonFile(obs.sampleOut);
+        if (!ok)
+            fail("failed to write samples: " + obs.sampleOut);
+        log << "telemetry: " << telemetry->sampler().intervals().size()
+            << " intervals -> " << obs.sampleOut << tag;
+    }
+    if (telemetry && !obs.reportFile.empty()) {
+        if (!writeHtmlReportFile(obs.reportFile, *telemetry,
+                                 spanning ? &spans : nullptr)) {
+            fail("report has an empty hot-page table (no walks "
+                 "attributed): " +
+                 obs.reportFile);
+        }
+        log << "report: " << telemetry->heat().pages().size()
+            << " pages, " << telemetry->heat().lines().size()
+            << " page-table lines -> " << obs.reportFile << tag;
+    }
+    if (writer) {
+        log << "memtrace: " << writer->accessesRecorded()
+            << " accesses, " << writer->branchesRecorded()
+            << " branches -> " << obs.captureTrace << tag;
+    }
+}
+
+/** observeRun() on one (benchmark, config) point. */
+inline void
+observeRun(const ObserveOptions &obs, BenchmarkId bench,
+           const SystemConfig &cfg, const WorkloadParams &params,
+           std::ostream &log)
+{
+    observeRun(obs, benchmarkName(bench) + " / " + cfg.name, log,
+               [&](TraceSink *trace, Telemetry *telemetry,
+                   MemTraceWriter *memtrace, SpanTracker *spans) {
+                   runConfigFull(bench, cfg, params, trace, telemetry,
+                                 memtrace, spans);
+               });
 }
 
 /**
- * Honor --capture-trace=<file>: re-simulate one (benchmark, config)
- * point with memory-trace capture armed and write a replayable
- * memtrace. Like tracing/telemetry this is a separate observation-
- * only simulation after the sweep (capture registers no stats, so
- * the armed run is bit-identical to an unarmed one). Uses the first
- * selected benchmark; narrow with --bench=<name>. Replay the file
- * with bench/trace_replay.
+ * Honor the export flags after a bench's sweep: one armed re-run of
+ * @p cfg on the first selected benchmark (narrow with
+ * --bench=<name>). A sink belongs to exactly one run, so this is a
+ * separate simulation; the table numbers above are untouched.
  */
-inline void
-maybeCaptureRun(const Options &opt, const SystemConfig &cfg)
-{
-    if (opt.captureTrace.empty())
-        return;
-    MemTraceWriter writer(opt.captureTrace);
-    const BenchmarkId bench = opt.benchmarks.front();
-    runConfigFull(bench, cfg, opt.params, nullptr, nullptr, &writer);
-    std::cerr << "memtrace: " << writer.accessesRecorded()
-              << " accesses, " << writer.branchesRecorded()
-              << " branches -> " << opt.captureTrace << " ["
-              << benchmarkName(bench) << " / " << cfg.name << "]\n";
-}
-
-/**
- * Honor --spans=<file>: re-simulate one (benchmark, config) point
- * with translation-lifecycle span tracking armed and export the
- * per-stage latency decomposition (CSV or JSON by extension), plus a
- * summary to stderr. When --trace was also given, this single run
- * serves both exports so the Chrome trace carries the span flow
- * arrows (with --trace alone the output is byte-identical to a
- * span-less traced run, since spans emit nothing without a sink).
- * An empty span table is fatal: the run observed no translation
- * requests, so the hooks are not armed or the workload never issued
- * a memory access.
- */
-inline void
-maybeSpanRun(const Options &opt, const SystemConfig &cfg)
-{
-    if (opt.spansFile.empty())
-        return;
-    SpanTracker spans;
-    TraceSink sink;
-    TraceSink *trace = nullptr;
-    if (!opt.traceFile.empty()) {
-        if (!opt.traceFilter.empty())
-            sink.setFilter(opt.traceFilter);
-        trace = &sink;
-    }
-    const BenchmarkId bench = opt.benchmarks.front();
-    runConfigFull(bench, cfg, opt.params, trace, nullptr, nullptr,
-                  &spans);
-    if (trace != nullptr) {
-        if (!sink.writeChromeTraceFile(opt.traceFile)) {
-            std::cerr << "failed to write trace: " << opt.traceFile
-                      << "\n";
-            std::exit(1);
-        }
-        std::cerr << "trace: " << sink.size() << " events ("
-                  << sink.dropped() << " dropped) -> "
-                  << opt.traceFile << " [" << benchmarkName(bench)
-                  << " / " << cfg.name << "]\n";
-    }
-    if (spans.empty()) {
-        std::cerr << "span table is empty: no translation requests "
-                     "were observed ["
-                  << benchmarkName(bench) << " / " << cfg.name
-                  << "]\n";
-        std::exit(1);
-    }
-    const bool csv =
-        opt.spansFile.size() >= 4 &&
-        opt.spansFile.compare(opt.spansFile.size() - 4, 4, ".csv") ==
-            0;
-    const bool ok = csv ? spans.writeCsvFile(opt.spansFile)
-                        : spans.writeJsonFile(opt.spansFile);
-    if (!ok) {
-        std::cerr << "failed to write spans: " << opt.spansFile
-                  << "\n";
-        std::exit(1);
-    }
-    spans.writeSummary(std::cerr);
-    std::cerr << "spans: " << spans.spansClosed() << " closed ("
-              << spans.spansOpen() << " open at end) -> "
-              << opt.spansFile << " [" << benchmarkName(bench)
-              << " / " << cfg.name << "]\n";
-}
-
-/** Run every requested post-sweep observation of @p cfg (trace,
- *  telemetry, memtrace capture, spans); each is its own armed
- *  re-simulation, except that --spans + --trace share one run so
- *  the trace carries span flow arrows. */
 inline void
 maybeObserveRun(const Options &opt, const SystemConfig &cfg)
 {
-    if (opt.spansFile.empty())
-        maybeTraceRun(opt, cfg);
-    maybeSpanRun(opt, cfg);
-    maybeTelemetryRun(opt, cfg);
-    maybeCaptureRun(opt, cfg);
+    observeRun(opt, opt.benchmarks.front(), cfg, opt.params,
+               std::cerr);
 }
 
 /** Geometric mean helper for "average speedup" rows. */

@@ -21,29 +21,27 @@
  *   --shootdown-per-entry=<c>  per-invalidated-entry cost
  *   --eager                    eagerly back regions (no demand paging)
  *   --check                    arm the differential checker
- *   --trace=<file>             re-run with event tracing armed
+ *   --trace=<file>             Chrome trace of the re-run
  *   --sample-interval=<n>      telemetry interval for the re-run
  *   --sample-out=<file>        interval series (.csv or .json)
  *   --report=<file>            self-contained HTML run report
- *   --spans=<file>             re-run with translation-lifecycle
- *                              span tracking armed and export the
- *                              per-stage latency decomposition
- *                              (.csv or .json); span keys carry each
- *                              tenant's ASID, so the export breaks
- *                              the anatomy down per process
+ *   --spans=<file>             per-stage translation latency
+ *                              decomposition of the re-run (.csv or
+ *                              .json); span keys carry each tenant's
+ *                              ASID, so the export breaks the
+ *                              anatomy down per process
+ *
+ * One observation-only re-run after the table serves every export.
  */
 
 #include <cstdlib>
 #include <iostream>
 #include <string>
 
+#include "bench/bench_util.hh"
 #include "core/multi_tenant.hh"
 #include "core/presets.hh"
 #include "sim/parse_util.hh"
-#include "telemetry/report.hh"
-#include "telemetry/span.hh"
-#include "telemetry/telemetry.hh"
-#include "trace/trace.hh"
 
 using namespace gpummu;
 
@@ -67,11 +65,7 @@ main(int argc, char **argv)
 {
     MultiTenantConfig cfg = defaultMultiTenant(/*scale=*/0.05);
     cfg.params.seed = 42;
-    std::string trace_file;
-    Cycle sample_interval = 0;
-    std::string sample_out;
-    std::string report_file;
-    std::string spans_file;
+    benchutil::ObserveOptions obs;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -120,23 +114,20 @@ main(int argc, char **argv)
         } else if (arg == "--check") {
             cfg.system.checkInvariants = true;
         } else if (const char *v = value("--trace")) {
-            trace_file = v;
+            obs.traceFile = v;
         } else if (const char *v = value("--sample-interval")) {
-            if (!parseNum(v, sample_interval) ||
-                sample_interval == 0) {
+            if (!parseNum(v, obs.sampleInterval) ||
+                obs.sampleInterval == 0) {
                 return bad("a positive cycle count");
             }
         } else if (const char *v = value("--sample-out")) {
-            sample_out = v;
+            obs.sampleOut = v;
         } else if (const char *v = value("--report")) {
-            report_file = v;
+            obs.reportFile = v;
         } else if (const char *v = value("--spans")) {
-            spans_file = v;
-            const std::string p = spans_file;
-            const auto dot = p.rfind('.');
-            const std::string ext =
-                dot == std::string::npos ? "" : p.substr(dot);
-            if (ext != ".csv" && ext != ".json") {
+            obs.spansFile = v;
+            if (!benchutil::endsWith(obs.spansFile, ".csv") &&
+                !benchutil::endsWith(obs.spansFile, ".json")) {
                 std::cerr
                     << "--spans wants a .csv or .json path\n";
                 return 1;
@@ -189,81 +180,11 @@ main(int argc, char **argv)
               << " (splinters " << res.splinters << ")"
               << "\niommu hit rate    " << hit_rate << "\n";
 
-    // One armed re-run serves --trace and --spans together so the
-    // Chrome trace carries the translation span flow arrows.
-    if (!trace_file.empty() || !spans_file.empty()) {
-        TraceSink sink;
-        SpanTracker spans;
-        runMultiTenant(cfg,
-                       trace_file.empty() ? nullptr : &sink, nullptr,
-                       spans_file.empty() ? nullptr : &spans);
-        if (!trace_file.empty()) {
-            if (!sink.writeChromeTraceFile(trace_file)) {
-                std::cerr << "failed to write trace: " << trace_file
-                          << "\n";
-                return 1;
-            }
-            std::cerr << "trace: " << sink.size() << " events -> "
-                      << trace_file << "\n";
-        }
-        if (!spans_file.empty()) {
-            if (spans.empty()) {
-                std::cerr << "span table is empty: no translation "
-                             "requests were observed\n";
-                return 1;
-            }
-            const bool csv =
-                spans_file.size() >= 4 &&
-                spans_file.compare(spans_file.size() - 4, 4,
-                                   ".csv") == 0;
-            const bool ok = csv ? spans.writeCsvFile(spans_file)
-                                : spans.writeJsonFile(spans_file);
-            if (!ok) {
-                std::cerr << "failed to write spans: " << spans_file
-                          << "\n";
-                return 1;
-            }
-            spans.writeSummary(std::cerr);
-            std::cerr << "spans: " << spans.spansClosed()
-                      << " closed (" << spans.spansOpen()
-                      << " open at end) -> " << spans_file << "\n";
-        }
-    }
-    if (sample_interval != 0) {
-        TelemetryConfig tcfg;
-        tcfg.sampleInterval = sample_interval;
-        Telemetry telemetry(tcfg);
-        SpanTracker spans;
-        SpanTracker *span_arm =
-            (!spans_file.empty() && !report_file.empty()) ? &spans
-                                                          : nullptr;
-        runMultiTenant(cfg, nullptr, &telemetry, span_arm);
-        if (!sample_out.empty()) {
-            const bool csv =
-                sample_out.size() >= 4 &&
-                sample_out.compare(sample_out.size() - 4, 4,
-                                   ".csv") == 0;
-            const bool ok =
-                csv ? telemetry.writeCsvFile(sample_out)
-                    : telemetry.writeJsonFile(sample_out);
-            if (!ok) {
-                std::cerr << "failed to write samples: " << sample_out
-                          << "\n";
-                return 1;
-            }
-            std::cerr << "telemetry: "
-                      << telemetry.sampler().intervals().size()
-                      << " intervals -> " << sample_out << "\n";
-        }
-        if (!report_file.empty()) {
-            if (!writeHtmlReportFile(report_file, telemetry,
-                                     span_arm)) {
-                std::cerr << "report has an empty hot-page table: "
-                          << report_file << "\n";
-                return 1;
-            }
-            std::cerr << "report -> " << report_file << "\n";
-        }
-    }
+    benchutil::observeRun(
+        obs, "multi-tenant / " + cfg.system.name, std::cerr,
+        [&cfg](TraceSink *trace, Telemetry *telemetry, MemTraceWriter *,
+               SpanTracker *spans) {
+            runMultiTenant(cfg, trace, telemetry, spans);
+        });
     return 0;
 }

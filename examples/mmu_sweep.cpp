@@ -17,48 +17,39 @@
  *                  [--spans=<file>]
  *        (jobs defaults to GPUMMU_JOBS, else all hardware threads)
  *
- * With --trace=<file>, one extra run of the augmented design point is
- * simulated after the sweep with event tracing armed, and the result
- * is written as Chrome trace-event JSON (open in Perfetto or
- * chrome://tracing). --trace-filter restricts recording to categories
- * whose name starts with the prefix (tlb, ptw, coalescer, l1, l2,
- * dram, core).
+ * Any export flag makes one extra, observation-only run of the
+ * augmented design point after the sweep, and that one run serves
+ * every requested export:
  *
- * With --sample-interval=<n>, the augmented design point is re-run
- * with telemetry armed: --sample-out writes the per-interval counter
- * series (.csv or .json by extension) and --report writes a
- * self-contained HTML run report with interval charts, the stall
- * breakdown and the hot-page / hot-PTE-line tables. Both observation
- * layers never change simulated results.
- *
- * With --capture-trace=<file>, the augmented design point is re-run
- * with memory-trace capture armed and the result is written as a
- * replayable memtrace (drive it back through the MMU stack with
- * bench/trace_replay).
- *
- * With --spans=<file>, the augmented design point is re-run with
- * translation-lifecycle span tracking armed: every translation
- * request gets a cycle-stamped timeline through TLB lookup, L2/MSHR,
- * walker queueing and service, and fill. The per-stage latency
- * decomposition is exported as .csv or .json (by extension) and a
- * summary is printed. Combined with --trace, the one armed run
- * serves both so the Chrome trace carries span flow arrows; combined
- * with --report, the HTML report gains a translation-latency-anatomy
- * section.
+ *  - --trace=<file> writes Chrome trace-event JSON (open in Perfetto
+ *    or chrome://tracing); --trace-filter restricts recording to
+ *    categories whose name starts with the prefix (tlb, ptw,
+ *    coalescer, l1, l2, dram, core).
+ *  - --sample-interval=<n> arms telemetry: --sample-out writes the
+ *    per-interval counter series (.csv or .json by extension) and
+ *    --report writes a self-contained HTML run report with interval
+ *    charts, the stall breakdown and the hot-page / hot-PTE-line
+ *    tables.
+ *  - --capture-trace=<file> writes a replayable memtrace (drive it
+ *    back through the MMU stack with bench/trace_replay).
+ *  - --spans=<file> gives every translation request a cycle-stamped
+ *    timeline through TLB lookup, L2/MSHR, walker queueing and
+ *    service, and fill; the per-stage latency decomposition is
+ *    exported as .csv or .json (by extension) and a summary is
+ *    printed. With --trace, the Chrome trace carries span flow
+ *    arrows; with --report, the HTML report gains a
+ *    translation-latency-anatomy section.
  */
 
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.hh"
 #include "core/experiment.hh"
 #include "core/presets.hh"
 #include "core/sweep.hh"
 #include "sim/parse_util.hh"
-#include "telemetry/report.hh"
-#include "telemetry/span.hh"
-#include "telemetry/telemetry.hh"
-#include "trace/memtrace.hh"
 #include "trace/trace.hh"
 
 using namespace gpummu;
@@ -67,18 +58,16 @@ int
 main(int argc, char **argv)
 {
     // Flags can appear anywhere; positionals keep their order.
-    std::string trace_file, trace_filter, sample_out, report_file;
-    std::string capture_file, spans_file;
-    Cycle sample_interval = 0;
+    benchutil::ObserveOptions obs;
     std::vector<std::string> pos;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--trace=", 0) == 0) {
-            trace_file = arg.substr(8);
+            obs.traceFile = arg.substr(8);
         } else if (arg.rfind("--trace-filter=", 0) == 0) {
-            trace_filter = arg.substr(15);
-            if (!traceFilterMatchesAny(trace_filter)) {
-                std::cerr << "--trace-filter=" << trace_filter
+            obs.traceFilter = arg.substr(15);
+            if (!traceFilterMatchesAny(obs.traceFilter)) {
+                std::cerr << "--trace-filter=" << obs.traceFilter
                           << " matches no category; valid: "
                           << traceCatNames() << "\n";
                 return 2;
@@ -86,41 +75,37 @@ main(int argc, char **argv)
         } else if (arg.rfind("--sample-interval=", 0) == 0) {
             // Strict full-token parse: trailing garbage is an
             // error, not a truncated number.
-            if (!parseNum(arg.substr(18), sample_interval) ||
-                sample_interval == 0) {
+            if (!parseNum(arg.substr(18), obs.sampleInterval) ||
+                obs.sampleInterval == 0) {
                 std::cerr << "--sample-interval wants a positive "
                              "cycle count\n";
                 return 2;
             }
         } else if (arg.rfind("--capture-trace=", 0) == 0) {
-            capture_file = arg.substr(16);
-            if (capture_file.empty()) {
+            obs.captureTrace = arg.substr(16);
+            if (obs.captureTrace.empty()) {
                 std::cerr
                     << "--capture-trace wants an output path\n";
                 return 2;
             }
         } else if (arg.rfind("--sample-out=", 0) == 0) {
-            sample_out = arg.substr(13);
-            const auto dot = sample_out.rfind('.');
-            const std::string ext =
-                dot == std::string::npos ? "" : sample_out.substr(dot);
-            if (ext != ".csv" && ext != ".json") {
+            obs.sampleOut = arg.substr(13);
+            if (!benchutil::endsWith(obs.sampleOut, ".csv") &&
+                !benchutil::endsWith(obs.sampleOut, ".json")) {
                 std::cerr
                     << "--sample-out wants a .csv or .json path\n";
                 return 2;
             }
         } else if (arg.rfind("--report=", 0) == 0) {
-            report_file = arg.substr(9);
-            if (report_file.empty()) {
+            obs.reportFile = arg.substr(9);
+            if (obs.reportFile.empty()) {
                 std::cerr << "--report wants an output path\n";
                 return 2;
             }
         } else if (arg.rfind("--spans=", 0) == 0) {
-            spans_file = arg.substr(8);
-            const auto dot = spans_file.rfind('.');
-            const std::string ext =
-                dot == std::string::npos ? "" : spans_file.substr(dot);
-            if (ext != ".csv" && ext != ".json") {
+            obs.spansFile = arg.substr(8);
+            if (!benchutil::endsWith(obs.spansFile, ".csv") &&
+                !benchutil::endsWith(obs.spansFile, ".json")) {
                 std::cerr << "--spans wants a .csv or .json path\n";
                 return 2;
             }
@@ -137,14 +122,14 @@ main(int argc, char **argv)
             pos.push_back(arg);
         }
     }
-    if (sample_interval == 0 &&
-        (!sample_out.empty() || !report_file.empty())) {
+    if (obs.sampleInterval == 0 &&
+        (!obs.sampleOut.empty() || !obs.reportFile.empty())) {
         std::cerr << "--sample-out/--report need "
                      "--sample-interval=<cycles>\n";
         return 2;
     }
-    if (sample_interval != 0 && sample_out.empty() &&
-        report_file.empty()) {
+    if (obs.sampleInterval != 0 && obs.sampleOut.empty() &&
+        obs.reportFile.empty()) {
         std::cerr << "--sample-interval needs --sample-out=<file> "
                      "and/or --report=<file>\n";
         return 2;
@@ -215,121 +200,10 @@ main(int argc, char **argv)
     }
     table.print(std::cout);
 
-    // A TraceSink belongs to exactly one run, so the traced point is
-    // a separate simulation after the sweep (timing is bit-identical
-    // either way; tracing is observation-only). With --spans the one
-    // armed run serves both exports, so the Chrome trace carries the
-    // translation span flow arrows.
-    if (!trace_file.empty() || !spans_file.empty()) {
-        TraceSink sink;
-        if (!trace_filter.empty())
-            sink.setFilter(trace_filter);
-        SpanTracker spans;
-        const SystemConfig traced = presets::augmentedTlb();
-        runConfigFull(bench, traced, params,
-                      trace_file.empty() ? nullptr : &sink, nullptr,
-                      nullptr, spans_file.empty() ? nullptr : &spans);
-        if (!trace_file.empty()) {
-            if (!sink.writeChromeTraceFile(trace_file)) {
-                std::cerr << "failed to write trace: " << trace_file
-                          << "\n";
-                return 1;
-            }
-            std::cout << "\ntrace: " << sink.size() << " events ("
-                      << sink.dropped() << " dropped) -> "
-                      << trace_file << " [" << name << " / "
-                      << traced.name << "]\n";
-        }
-        if (!spans_file.empty()) {
-            if (spans.empty()) {
-                std::cerr << "span table is empty: no translation "
-                             "requests were observed ["
-                          << name << " / " << traced.name << "]\n";
-                return 1;
-            }
-            const bool csv =
-                spans_file.size() >= 4 &&
-                spans_file.compare(spans_file.size() - 4, 4,
-                                   ".csv") == 0;
-            const bool ok = csv ? spans.writeCsvFile(spans_file)
-                                : spans.writeJsonFile(spans_file);
-            if (!ok) {
-                std::cerr << "failed to write spans: " << spans_file
-                          << "\n";
-                return 1;
-            }
-            std::cout << "\n";
-            spans.writeSummary(std::cout);
-            std::cout << "spans: " << spans.spansClosed()
-                      << " closed (" << spans.spansOpen()
-                      << " open at end) -> " << spans_file << " ["
-                      << name << " / " << traced.name << "]\n";
-        }
-    }
-
-    // Telemetry likewise belongs to one run: sample the augmented
-    // design point in a separate armed simulation. Spans ride along
-    // when requested so the HTML report gains the translation-
-    // latency-anatomy section.
-    if (sample_interval != 0) {
-        TelemetryConfig tcfg;
-        tcfg.sampleInterval = sample_interval;
-        Telemetry telemetry(tcfg);
-        SpanTracker spans;
-        SpanTracker *span_arm =
-            (!spans_file.empty() && !report_file.empty()) ? &spans
-                                                          : nullptr;
-        const SystemConfig sampled = presets::augmentedTlb();
-        runConfigFull(bench, sampled, params, nullptr, &telemetry,
-                      nullptr, span_arm);
-        if (!sample_out.empty()) {
-            const bool csv =
-                sample_out.size() >= 4 &&
-                sample_out.compare(sample_out.size() - 4, 4,
-                                   ".csv") == 0;
-            const bool ok =
-                csv ? telemetry.writeCsvFile(sample_out)
-                    : telemetry.writeJsonFile(sample_out);
-            if (!ok) {
-                std::cerr << "failed to write samples: "
-                          << sample_out << "\n";
-                return 1;
-            }
-            std::cout << "telemetry: "
-                      << telemetry.sampler().intervals().size()
-                      << " intervals -> " << sample_out << " ["
-                      << name << " / " << sampled.name << "]\n";
-        }
-        if (!report_file.empty()) {
-            if (!writeHtmlReportFile(report_file, telemetry,
-                                     span_arm)) {
-                std::cerr << "report has an empty hot-page table "
-                             "(no walks attributed): "
-                          << report_file << "\n";
-                return 1;
-            }
-            std::cout << "report: "
-                      << telemetry.heat().pages().size()
-                      << " pages, "
-                      << telemetry.heat().lines().size()
-                      << " page-table lines -> " << report_file
-                      << "\n";
-        }
-    }
-
-    // Memtrace capture is observation-only like the two layers
-    // above: a separate armed re-run of the augmented point. Capture
-    // registers no stats, so the armed run is bit-identical to the
-    // swept one.
-    if (!capture_file.empty()) {
-        MemTraceWriter writer(capture_file);
-        const SystemConfig captured = presets::augmentedTlb();
-        runConfigFull(bench, captured, params, nullptr, nullptr,
-                      &writer);
-        std::cout << "memtrace: " << writer.accessesRecorded()
-                  << " accesses, " << writer.branchesRecorded()
-                  << " branches -> " << capture_file << " [" << name
-                  << " / " << captured.name << "]\n";
-    }
+    // Observers belong to exactly one run, so the augmented design
+    // point is re-simulated once after the sweep to serve every
+    // requested export (timing is bit-identical either way).
+    benchutil::observeRun(obs, bench, presets::augmentedTlb(), params,
+                          std::cout);
     return 0;
 }

@@ -3,6 +3,7 @@
 #include <iomanip>
 #include <sstream>
 
+#include "core/run_support.hh"
 #include "mmu/l2_tlb.hh"
 #include "sched/ccws.hh"
 #include "sim/logging.hh"
@@ -13,8 +14,6 @@
 #include "trace/trace.hh"
 
 namespace gpummu {
-
-namespace {
 
 std::unique_ptr<WarpScheduler>
 makeScheduler(const SystemConfig &cfg)
@@ -33,6 +32,29 @@ makeScheduler(const SystemConfig &cfg)
     }
     GPUMMU_PANIC("unknown scheduler kind");
 }
+
+Probes
+armObservers(const EventQueue &eq, StatRegistry &stats, TraceSink *trace,
+             Telemetry *telemetry, SpanTracker *spans)
+{
+    if (trace != nullptr)
+        trace->bindClock(&eq);
+    if (spans != nullptr) {
+        spans->bindClock(&eq);
+        // With a sink armed too, each span's lifecycle additionally
+        // rides it as Chrome-trace flow events (arrows).
+        spans->setTraceSink(trace);
+    }
+    if (telemetry != nullptr)
+        telemetry->begin(stats);
+    if (trace != nullptr)
+        trace->regStats(stats, "trace");
+    return Probes{trace,
+                  telemetry != nullptr ? &telemetry->heat() : nullptr,
+                  spans};
+}
+
+namespace {
 
 GpuTop::CoreFactory
 makeCoreFactory(const SystemConfig &cfg)
@@ -56,16 +78,12 @@ makeCoreFactory(const SystemConfig &cfg)
     };
 }
 
-} // namespace
-
-namespace {
-
 RunOutput
 finishRun(GpuTop &gpu, const std::string &bench_name,
-          const SystemConfig &cfg)
+          const SystemConfig &cfg, Telemetry *telemetry)
 {
     RunOutput out;
-    out.stats = gpu.run(cfg.maxCycles);
+    out.stats = gpu.run(cfg.maxCycles, telemetry);
     std::ostringstream os;
     os << "{\"bench\":\"" << jsonEscape(bench_name)
        << "\",\"config\":\"" << jsonEscape(cfg.name)
@@ -107,12 +125,6 @@ runWorkloadFull(Workload &workload, const SystemConfig &cfg_in,
                 TraceSink *trace, Telemetry *telemetry,
                 MemTraceWriter *memtrace, SpanTracker *spans)
 {
-    if (telemetry != nullptr)
-        telemetry->setMeta(workload.name(), cfg_in.name);
-    // With both observers armed, each span's lifecycle additionally
-    // rides the sink as Chrome-trace flow events (arrows).
-    if (spans != nullptr && trace != nullptr)
-        spans->setTraceSink(trace);
     // Fan the top-level checker switch out to every translation unit
     // of the run before any core is built.
     SystemConfig cfg = cfg_in;
@@ -122,129 +134,82 @@ runWorkloadFull(Workload &workload, const SystemConfig &cfg_in,
         cfg.l2tlb.checkInvariants = true;
     }
 
-    if (!cfg.iommu) {
-        GpuTop::CoreFactory factory = makeCoreFactory(cfg);
-
-        // Shared L2 TLB: one GPU-wide instance, created with the
-        // first core (the same holder pattern as the IOMMU below)
-        // and attached to every core's MMU miss path.
-        std::shared_ptr<std::unique_ptr<L2Tlb>> l2_holder;
-        if (cfg.l2tlb.enabled) {
-            GPUMMU_ASSERT(cfg.core.mmu.enabled,
-                          "a shared L2 TLB needs per-core MMUs");
-            l2_holder = std::make_shared<std::unique_ptr<L2Tlb>>();
-            auto base = std::move(factory);
-            factory = [cfg, base, l2_holder](
-                          int core_id, const LaunchParams &launch,
-                          AddressSpace &as, MemorySystem &mem,
-                          EventQueue &eq)
-                -> std::unique_ptr<ShaderCore> {
-                if (!*l2_holder) {
-                    *l2_holder = std::make_unique<L2Tlb>(
-                        cfg.l2tlb, as.pageTable(), eq,
-                        as.usesLargePages() ? kPageShift2M
-                                            : kPageShift4K);
-                }
-                auto core = base(core_id, launch, as, mem, eq);
-                core->mmu().setL2Tlb(l2_holder->get());
-                return core;
-            };
-        }
-
-        GpuTop gpu(cfg.numCores, cfg.mem, workload, factory,
-                   cfg.largePages, cfg.physFrames);
-        if (l2_holder && *l2_holder)
-            (*l2_holder)->regStats(gpu.stats(), "l2tlb");
-        if (trace != nullptr) {
-            gpu.setTraceSink(trace);
-            trace->regStats(gpu.stats(), "trace");
-            // The shared L2 TLB is not a per-core component; arm it
-            // directly (tid -1 marks the GPU-wide instance).
-            if (l2_holder && *l2_holder)
-                (*l2_holder)->setTraceSink(trace, -1);
-        }
-        // After the trace stats so an armed sampler sees them too.
-        if (telemetry != nullptr)
-            gpu.setTelemetry(telemetry);
-        if (spans != nullptr) {
-            gpu.setSpanTracker(spans);
-            // The shared L2 TLB is not a per-core component; arm it
-            // directly (tid -1 marks the GPU-wide instance).
-            if (l2_holder && *l2_holder)
-                (*l2_holder)->setSpanTracker(spans, -1);
-        }
-        armMemTrace(gpu, memtrace, cfg);
-        RunOutput out = finishRun(gpu, workload.name(), cfg);
-        if (memtrace != nullptr &&
-            !memtrace->finish(out.stats.cycles)) {
-            GPUMMU_FATAL("memory-trace capture failed: ",
-                         memtrace->error());
-        }
-        // The shared L2 TLB is not reached by GpuTop's per-core
-        // sweep, so its MSHR drain invariants are verified here.
-        if (l2_holder && *l2_holder)
-            (*l2_holder)->checkEndOfKernel();
-        return out;
+    // The GPU-wide translation unit, if any: a shared L2 TLB behind
+    // the per-core MMU miss paths, or the IOMMU in place of per-core
+    // MMUs. Either is created with the first core, once the address
+    // space exists, and kept alive for the run.
+    auto l2 = std::make_shared<std::unique_ptr<L2Tlb>>();
+    auto iommu = std::make_shared<std::unique_ptr<Iommu>>();
+    GpuTop::CoreFactory factory = makeCoreFactory(cfg);
+    if (cfg.iommu) {
+        GPUMMU_ASSERT(!cfg.l2tlb.enabled,
+                      "the shared L2 TLB sits behind per-core MMUs; "
+                      "IOMMU mode has no miss path to attach it to");
+        GPUMMU_ASSERT(!cfg.core.mmu.enabled,
+                      "IOMMU mode requires per-core MMUs disabled");
+        factory = [cfg, iommu](int core_id, const LaunchParams &launch,
+                               AddressSpace &as, MemorySystem &mem,
+                               EventQueue &eq)
+            -> std::unique_ptr<ShaderCore> {
+            if (!*iommu) {
+                *iommu = std::make_unique<Iommu>(cfg.iommuCfg, as, mem,
+                                                 eq);
+            }
+            auto core = std::make_unique<SimtCore>(
+                core_id, cfg.core, launch, as, mem, eq);
+            core->setScheduler(makeScheduler(cfg));
+            core->setIommu(iommu->get());
+            return core;
+        };
+    } else if (cfg.l2tlb.enabled) {
+        GPUMMU_ASSERT(cfg.core.mmu.enabled,
+                      "a shared L2 TLB needs per-core MMUs");
+        factory = [cfg, base = std::move(factory), l2](
+                      int core_id, const LaunchParams &launch,
+                      AddressSpace &as, MemorySystem &mem,
+                      EventQueue &eq) -> std::unique_ptr<ShaderCore> {
+            if (!*l2) {
+                *l2 = std::make_unique<L2Tlb>(
+                    cfg.l2tlb, as.pageTable(), eq,
+                    as.usesLargePages() ? kPageShift2M : kPageShift4K);
+            }
+            auto core = base(core_id, launch, as, mem, eq);
+            core->mmu().setL2Tlb(l2->get());
+            return core;
+        };
     }
-    GPUMMU_ASSERT(!cfg.l2tlb.enabled,
-                  "the shared L2 TLB sits behind per-core MMUs; "
-                  "IOMMU mode has no miss path to attach it to");
 
-    // IOMMU mode: one shared translation unit for the whole GPU,
-    // created with the first core and kept alive for the run.
-    GPUMMU_ASSERT(!cfg.core.mmu.enabled,
-                  "IOMMU mode requires per-core MMUs disabled");
-    auto iommu_holder = std::make_shared<std::unique_ptr<Iommu>>();
-    auto factory = [cfg, iommu_holder](
-                       int core_id, const LaunchParams &launch,
-                       AddressSpace &as, MemorySystem &mem,
-                       EventQueue &eq) -> std::unique_ptr<ShaderCore> {
-        if (!*iommu_holder) {
-            *iommu_holder = std::make_unique<Iommu>(cfg.iommuCfg, as,
-                                                    mem, eq);
-        }
-        auto core = std::make_unique<SimtCore>(core_id, cfg.core,
-                                               launch, as, mem, eq);
-        core->setScheduler(makeScheduler(cfg));
-        core->setIommu(iommu_holder->get());
-        return core;
-    };
     GpuTop gpu(cfg.numCores, cfg.mem, workload, factory,
                cfg.largePages, cfg.physFrames);
-    if (*iommu_holder)
-        (*iommu_holder)->regStats(gpu.stats(), "iommu");
-    if (trace != nullptr) {
-        gpu.setTraceSink(trace);
-        trace->regStats(gpu.stats(), "trace");
-        // The shared IOMMU is not a per-core component; arm it
-        // directly (tid -1 marks the GPU-wide instance).
-        if (*iommu_holder)
-            (*iommu_holder)->setTraceSink(trace, -1);
-    }
-    if (telemetry != nullptr) {
-        gpu.setTelemetry(telemetry);
-        // The shared IOMMU's walkers are not reached by GpuTop's
-        // per-core distribution; arm them directly (tid -1).
-        if (*iommu_holder)
-            (*iommu_holder)->setHeatProfiler(&telemetry->heat(), -1);
-    }
-    if (spans != nullptr) {
-        gpu.setSpanTracker(spans);
-        // The shared IOMMU is not a per-core component; arm it
-        // directly (tid -1 marks the GPU-wide instance).
-        if (*iommu_holder)
-            (*iommu_holder)->setSpanTracker(spans, -1);
-    }
+    if (*l2)
+        (*l2)->regStats(gpu.stats(), "l2tlb");
+    if (*iommu)
+        (*iommu)->regStats(gpu.stats(), "iommu");
+
+    if (telemetry != nullptr)
+        telemetry->setMeta(workload.name(), cfg_in.name);
+    const Probes probes = armObservers(gpu.eventQueue(), gpu.stats(),
+                                       trace, telemetry, spans);
+    gpu.observe(probes);
+    // The shared unit is not a per-core component; tid -1 marks the
+    // GPU-wide instance.
+    if (*l2)
+        (*l2)->observe(probes, -1);
+    if (*iommu)
+        (*iommu)->observe(probes, -1);
     armMemTrace(gpu, memtrace, cfg);
-    RunOutput out = finishRun(gpu, workload.name(), cfg);
+
+    RunOutput out = finishRun(gpu, workload.name(), cfg, telemetry);
     if (memtrace != nullptr && !memtrace->finish(out.stats.cycles)) {
         GPUMMU_FATAL("memory-trace capture failed: ",
                      memtrace->error());
     }
-    // The shared IOMMU is not reached by GpuTop's per-core sweep, so
+    // The shared unit is not reached by GpuTop's per-core sweep, so
     // its drain invariants are verified here.
-    if (*iommu_holder)
-        (*iommu_holder)->checkEndOfKernel();
+    if (*l2)
+        (*l2)->checkEndOfKernel();
+    if (*iommu)
+        (*iommu)->checkEndOfKernel();
     return out;
 }
 

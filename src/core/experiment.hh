@@ -51,14 +51,22 @@ RunStats runConfig(BenchmarkId bench, const SystemConfig &cfg,
                    const WorkloadParams &params);
 
 /**
- * As runConfig, but also capture the JSON stat dump. @p trace and
- * @p telemetry, when non-null, are armed on the run's GpuTop before
- * the cycle loop (observation-only; both must outlive the call and
- * belong to exactly this run — sweeps passing either must not share
- * it). An armed trace sink additionally registers its health stats
- * ("trace.*") in the run's registry; an armed telemetry never touches
- * the registry, so its stat dump stays bit-identical to an unarmed
- * run's.
+ * As runConfig, but also capture the JSON stat dump, optionally with
+ * observers armed. Each non-null observer is observation-only, must
+ * outlive the call and belongs to exactly this run (sweeps must not
+ * share one); any combination may be armed together, and each
+ * records exactly what it would record alone. All are armed in one
+ * place (core/run_support.hh) on the run's GpuTop and its shared L2
+ * TLB or IOMMU before the cycle loop:
+ *
+ *  - @p trace records Chrome-trace events and registers its health
+ *    stats ("trace.*"), the only stats any observer adds;
+ *  - @p telemetry samples the registry every interval (its columns
+ *    never include "trace.*") and profiles walk heat;
+ *  - @p memtrace captures a replayable memory trace, finished after
+ *    the run; capture on a TBC topology or a failing write is fatal;
+ *  - @p spans tracks translation lifecycles and, with @p trace also
+ *    armed, draws them as flow arrows in the trace.
  */
 RunOutput runConfigFull(BenchmarkId bench, const SystemConfig &cfg,
                         const WorkloadParams &params,
@@ -70,19 +78,7 @@ RunOutput runConfigFull(BenchmarkId bench, const SystemConfig &cfg,
 /**
  * As runConfigFull, but over an already-constructed Workload — the
  * entry point for workloads that are not in the BenchmarkId registry
- * (TraceReplayWorkload). @p memtrace, when non-null, arms memory-
- * trace capture on the run (observation-only: it registers nothing in
- * the stat registry, so an armed run's stat dump is bit-identical to
- * an unarmed one's) and finishes the trace after the run; capture on
- * a TBC topology or a failing trace write is fatal.
- *
- * @p spans, when non-null, arms translation-lifecycle span tracking
- * (observation-only: it registers nothing in the stat registry, so an
- * armed run is bit-identical to an unarmed one) on every core's MMU
- * stack plus the shared L2 TLB or IOMMU of the configuration. When
- * both @p trace and @p spans are armed, the tracker additionally
- * emits Chrome-trace flow events through the sink, drawing each
- * translation's lifecycle as arrows in chrome://tracing.
+ * (TraceReplayWorkload).
  */
 RunOutput runWorkloadFull(Workload &workload, const SystemConfig &cfg,
                           TraceSink *trace = nullptr,

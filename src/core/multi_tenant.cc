@@ -4,34 +4,14 @@
 #include <sstream>
 
 #include "core/presets.hh"
+#include "core/run_support.hh"
 #include "gpu/gpu_top.hh"
-#include "sched/ccws.hh"
 #include "sim/logging.hh"
-#include "telemetry/span.hh"
 #include "telemetry/telemetry.hh"
-#include "trace/trace.hh"
 
 namespace gpummu {
 
 namespace {
-
-std::unique_ptr<WarpScheduler>
-makeScheduler(const SystemConfig &cfg)
-{
-    switch (cfg.sched) {
-      case SchedulerKind::LooseRoundRobin:
-        return std::make_unique<LooseRoundRobin>(
-            cfg.core.numWarpSlots);
-      case SchedulerKind::GreedyThenOldest:
-        return std::make_unique<GreedyThenOldest>();
-      case SchedulerKind::Ccws:
-      case SchedulerKind::TaCcws:
-        return std::make_unique<Ccws>(cfg.ccws);
-      case SchedulerKind::Tcws:
-        return std::make_unique<Tcws>(cfg.tcws);
-    }
-    GPUMMU_PANIC("unknown scheduler kind");
-}
 
 /** Book-keeping for one co-scheduled process. */
 struct Tenant
@@ -53,9 +33,8 @@ struct Tenant
  */
 Cycle
 runSlice(Tenant &t, const SystemConfig &sys, Iommu &iommu,
-         MemorySystem &mem, EventQueue &eq, TraceSink *trace,
-         Telemetry *telemetry, SpanTracker *spans, Cycle clock,
-         unsigned blocks_per_slice)
+         MemorySystem &mem, EventQueue &eq, const Probes &probes,
+         Telemetry *telemetry, Cycle clock, unsigned blocks_per_slice)
 {
     std::vector<std::unique_ptr<ShaderCore>> cores;
     cores.reserve(sys.numCores);
@@ -66,12 +45,7 @@ runSlice(Tenant &t, const SystemConfig &sys, Iommu &iommu,
         core->setScheduler(makeScheduler(sys));
         core->setIommu(&iommu);
         core->memStage().setAsid(t.proc->asid);
-        if (trace != nullptr)
-            core->setTraceSink(trace);
-        if (telemetry != nullptr)
-            core->setHeatProfiler(&telemetry->heat());
-        if (spans != nullptr)
-            core->setSpanTracker(spans);
+        core->observe(probes);
         cores.push_back(std::move(core));
     }
 
@@ -166,23 +140,12 @@ runMultiTenant(const MultiTenantConfig &cfg_in, TraceSink *trace,
     Counter slices;
     stats.addCounter("mt.slices", &slices);
 
-    if (trace != nullptr) {
-        trace->bindClock(&eq);
-        mem.setTraceSink(trace);
-        iommu.setTraceSink(trace, -1);
-        trace->regStats(stats, "trace");
-    }
-    if (telemetry != nullptr) {
+    if (telemetry != nullptr)
         telemetry->setMeta("multi-tenant", sys.name);
-        telemetry->begin(stats);
-        iommu.setHeatProfiler(&telemetry->heat(), -1);
-    }
-    if (spans != nullptr) {
-        spans->bindClock(&eq);
-        iommu.setSpanTracker(spans, -1);
-        if (trace != nullptr)
-            spans->setTraceSink(trace);
-    }
+    const Probes probes =
+        armObservers(eq, stats, trace, telemetry, spans);
+    mem.observe(probes);
+    iommu.observe(probes, -1);
 
     // Round-robin block-granular time slicing until every tenant has
     // retired its grid. A finishing tenant exits: its remaining
@@ -210,8 +173,8 @@ runMultiTenant(const MultiTenantConfig &cfg_in, TraceSink *trace,
         }
         last = pick;
         slices.inc();
-        clock = runSlice(t, sys, iommu, mem, eq, trace, telemetry,
-                         spans, clock, cfg_in.blocksPerSlice);
+        clock = runSlice(t, sys, iommu, mem, eq, probes, telemetry,
+                         clock, cfg_in.blocksPerSlice);
         if (t.nextBlock >= t.launch.totalBlocks) {
             t.finished = true;
             clock = pm.destroy(t.proc->asid, clock);

@@ -6,10 +6,8 @@
 #include "mem/l1_cache.hh"
 #include "mmu/mmu.hh"
 #include "sim/logging.hh"
-#include "telemetry/span.hh"
 #include "telemetry/telemetry.hh"
 #include "trace/memtrace.hh"
-#include "trace/trace.hh"
 
 namespace gpummu {
 
@@ -61,34 +59,11 @@ GpuTop::GpuTop(unsigned num_cores, const MemorySystemConfig &mem_cfg,
 }
 
 void
-GpuTop::setTraceSink(TraceSink *sink)
+GpuTop::observe(const Probes &probes)
 {
-    if (sink != nullptr)
-        sink->bindClock(&eq_);
-    mem_.setTraceSink(sink);
+    mem_.observe(probes);
     for (auto &core : cores_)
-        core->setTraceSink(sink);
-}
-
-void
-GpuTop::setSpanTracker(SpanTracker *spans)
-{
-    if (spans != nullptr)
-        spans->bindClock(&eq_);
-    for (auto &core : cores_)
-        core->setSpanTracker(spans);
-}
-
-void
-GpuTop::setTelemetry(Telemetry *telemetry)
-{
-    telemetry_ = telemetry;
-    if (telemetry_ != nullptr)
-        telemetry_->begin(stats_);
-    HeatProfiler *heat =
-        telemetry_ != nullptr ? &telemetry_->heat() : nullptr;
-    for (auto &core : cores_)
-        core->setHeatProfiler(heat);
+        core->observe(probes);
 }
 
 bool
@@ -212,10 +187,10 @@ runCycleLoop(const std::vector<std::unique_ptr<ShaderCore>> &cores,
 }
 
 RunStats
-GpuTop::run(Cycle max_cycles)
+GpuTop::run(Cycle max_cycles, Telemetry *telemetry)
 {
     const CycleLoopStats loop =
-        runCycleLoop(cores_, eq_, telemetry_, nextBlock_,
+        runCycleLoop(cores_, eq_, telemetry, nextBlock_,
                      launch_.totalBlocks, 0, max_cycles);
     const Cycle cycle = loop.endCycle;
 
@@ -235,8 +210,8 @@ GpuTop::run(Cycle max_cycles)
 
     // Telemetry closes its tail interval and snapshots the stall
     // totals only after the ledgers above are folded.
-    if (telemetry_ != nullptr)
-        telemetry_->finish(cycle, stats_);
+    if (telemetry != nullptr)
+        telemetry->finish(cycle, stats_);
 
     RunStats out;
     out.cycles = cycle;

@@ -176,32 +176,13 @@ class GpuTop
            std::uint64_t phys_frames = 16ULL << 20);
 
     /**
-     * Arm event tracing (observation-only): binds the sink to this
-     * run's clock and distributes it to every core's TLB, walkers,
-     * L1, memory stage and the shared memory system. Call before
-     * run(); pass nullptr to detach.
+     * Arm the observers (observation-only) on the shared memory
+     * system and every core's TLB, walkers, L1 and memory stage.
+     * Shared translation units outside the cores (L2 TLB, IOMMU) are
+     * armed by the harness that owns them, which also binds the
+     * observers to eventQueue(). Call before run().
      */
-    void setTraceSink(TraceSink *sink);
-
-    /**
-     * Arm run telemetry (observation-only): binds the interval
-     * sampler to this run's stat registry, distributes the heat
-     * profiler to every core's walker pool and memory stage, and
-     * makes the cycle loop drive interval boundaries. Call before
-     * run(); pass nullptr to detach. run() finalizes the telemetry
-     * (tail interval + stall snapshot) before returning.
-     */
-    void setTelemetry(Telemetry *telemetry);
-
-    /**
-     * Arm translation-lifecycle span tracking (observation-only):
-     * binds the tracker to this run's clock and distributes it to
-     * every core's MMU stack and memory stage. Shared structures
-     * outside the cores (L2 TLB, IOMMU) are armed by the experiment
-     * harness that owns them. Call before run(); pass nullptr to
-     * detach.
-     */
-    void setSpanTracker(SpanTracker *spans);
+    void observe(const Probes &probes);
 
     /**
      * Arm memory-trace capture (observation-only): distributes the
@@ -215,8 +196,13 @@ class GpuTop
     /**
      * Run the kernel grid to completion.
      * @param max_cycles deadlock guard; fatal when exceeded.
+     * @param telemetry  interval sampler the cycle loop drives (may
+     *                   be null; observation-only). It must already
+     *                   have begun on stats(); run() finishes it
+     *                   (tail interval + stall snapshot).
      */
-    RunStats run(Cycle max_cycles = 400'000'000);
+    RunStats run(Cycle max_cycles = 400'000'000,
+                 Telemetry *telemetry = nullptr);
 
     StatRegistry &stats() { return stats_; }
     ShaderCore &core(unsigned i) { return *cores_.at(i); }
@@ -235,7 +221,6 @@ class GpuTop
     LaunchParams launch_;
     std::vector<std::unique_ptr<ShaderCore>> cores_;
     StatRegistry stats_;
-    Telemetry *telemetry_ = nullptr;
     unsigned nextBlock_ = 0;
 };
 

@@ -63,10 +63,10 @@ MemoryStage::issue(int warp_id, bool is_store,
     const CoalescedAccess &acc = accScratch_;
 
     lastIssueReason_ = StallReason::Interconnect;
-    if (trace_)
-        trace_->instantAt(TraceCat::Coalescer, "coalesce", traceTid_,
-                          now, "lines", acc.totalLines, "pages",
-                          acc.pages.size());
+    if (probes_.trace)
+        probes_.trace->instantAt(TraceCat::Coalescer, "coalesce", tid_,
+                                 now, "lines", acc.totalLines, "pages",
+                                 acc.pages.size());
 
     if (iommu_ != nullptr)
         return issueIommu(warp_id, is_store, acc, now,
@@ -77,8 +77,8 @@ MemoryStage::issue(int warp_id, bool is_store,
         memInstrs_.inc();
         pageDivergence_.sample(acc.pageDivergence());
         linesPerInstr_.sample(acc.totalLines);
-        if (heat_)
-            heat_->onPageDivergence(acc.pageDivergence());
+        if (probes_.heat)
+            probes_.heat->onPageDivergence(acc.pageDivergence());
         Cycle ready = now + 1;
         for (const auto &pg : acc.pages) {
             for (std::uint64_t vline : pg.vlines) {
@@ -114,8 +114,8 @@ MemoryStage::issue(int warp_id, bool is_store,
     memInstrs_.inc();
     pageDivergence_.sample(acc.pageDivergence());
     linesPerInstr_.sample(acc.totalLines);
-    if (heat_)
-        heat_->onPageDivergence(acc.pageDivergence());
+    if (probes_.heat)
+        probes_.heat->onPageDivergence(acc.pageDivergence());
 
     // --- Real TLB lookup for the coalesced PTE set. ---
     std::vector<Vpn> &vpns = vpnScratch_;
@@ -285,8 +285,8 @@ MemoryStage::issueIommu(int warp_id, bool is_store,
     memInstrs_.inc();
     pageDivergence_.sample(acc.pageDivergence());
     linesPerInstr_.sample(acc.totalLines);
-    if (heat_)
-        heat_->onPageDivergence(acc.pageDivergence());
+    if (probes_.heat)
+        probes_.heat->onPageDivergence(acc.pageDivergence());
 
     // Virtually addressed L1: lines are looked up by virtual line id
     // (the virtual->physical bijection makes the hit/miss pattern
@@ -344,9 +344,9 @@ MemoryStage::issueIommu(int warp_id, bool is_store,
     for (Vpn vpn : missing_pages) {
         // The span opens as the request departs the core; the gap to
         // the IOMMU's lookup stage is interconnect + port queueing.
-        if (spans_)
-            spans_->openAt(asidKey(asid_, vpn),
-                           SpanStage::IommuDepart, now, spanTid_);
+        if (probes_.spans)
+            probes_.spans->openAt(asidKey(asid_, vpn),
+                                  SpanStage::IommuDepart, now, tid_);
         iommu_->translate(
             asidKey(asid_, vpn), now + mem_defaults.icntLatency,
             [pending, refetch](std::uint64_t, Cycle done) {

@@ -38,10 +38,6 @@
 
 namespace gpummu {
 
-class HeatProfiler;
-class SpanTracker;
-class TraceSink;
-
 enum class MemIssueResult
 {
     Issued,        ///< op accepted; completion callback will fire
@@ -102,29 +98,18 @@ class MemoryStage
 
     void regStats(StatRegistry &reg, const std::string &prefix);
 
-    /** Attach an event trace sink; @p tid labels this core. */
-    void
-    setTraceSink(TraceSink *sink, int tid)
-    {
-        trace_ = sink;
-        traceTid_ = tid;
-    }
-
-    /** Attach a translation heat profiler (feeds its per-interval
-     *  page-divergence series). */
-    void setHeatProfiler(HeatProfiler *heat) { heat_ = heat; }
-
     /**
-     * Attach a translation-lifecycle span tracker (observation-only).
-     * Only the IOMMU path uses it here: the span for each missing
-     * page opens when its translate request departs this core for the
+     * Arm the observers (observation-only); @p tid labels this core.
+     * Heat gets the per-interval page-divergence series. Spans are
+     * used on the IOMMU path only: the span for each missing page
+     * opens when its translate request departs this core for the
      * memory controller (MMU-path spans open inside the L1 TLB).
      */
     void
-    setSpanTracker(SpanTracker *spans, int tid)
+    observe(const Probes &probes, int tid)
     {
-        spans_ = spans;
-        spanTid_ = tid;
+        probes_ = probes;
+        tid_ = tid;
     }
 
     /**
@@ -190,11 +175,8 @@ class MemoryStage
     WarpScheduler *sched_ = nullptr;
     Iommu *iommu_ = nullptr;
     TlbHitHistoryFn onTlbHitHistory_;
-    TraceSink *trace_ = nullptr;
-    int traceTid_ = 0;
-    HeatProfiler *heat_ = nullptr;
-    SpanTracker *spans_ = nullptr;
-    int spanTid_ = 0;
+    Probes probes_;
+    int tid_ = 0;
     StallReason lastIssueReason_ = StallReason::None;
     Asid asid_ = 0;
 

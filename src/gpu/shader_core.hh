@@ -11,19 +11,17 @@
 #include <cstdint>
 #include <string>
 
+#include "sim/probes.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 #include "trace/stall_accounting.hh"
 
 namespace gpummu {
 
-class HeatProfiler;
 class MemTraceWriter;
 class Mmu;
 class L1Cache;
 class MemoryStage;
-class SpanTracker;
-class TraceSink;
 
 class ShaderCore
 {
@@ -61,16 +59,9 @@ class ShaderCore
     virtual L1Cache &l1() = 0;
     virtual MemoryStage &memStage() = 0;
 
-    /** Attach an event trace sink to this core's components. */
-    virtual void setTraceSink(TraceSink *sink) { (void)sink; }
-
-    /** Attach a translation heat profiler to this core's walker pool
-     *  and memory stage (observation-only, may be null). */
-    virtual void setHeatProfiler(HeatProfiler *heat) { (void)heat; }
-
-    /** Attach a translation-lifecycle span tracker to this core's
-     *  MMU stack and memory stage (observation-only, may be null). */
-    virtual void setSpanTracker(SpanTracker *spans) { (void)spans; }
+    /** Arm the observers on this core's L1, MMU stack and memory
+     *  stage (observation-only), labelled with the core id. */
+    virtual void observe(const Probes &probes) = 0;
 
     /**
      * Attach a memory-trace capture writer (observation-only, may be

@@ -44,25 +44,11 @@ SimtCore::setScheduler(std::unique_ptr<WarpScheduler> sched)
 }
 
 void
-SimtCore::setTraceSink(TraceSink *sink)
+SimtCore::observe(const Probes &probes)
 {
-    l1_.setTraceSink(sink, coreId_);
-    mmu_.setTraceSink(sink, coreId_);
-    memStage_.setTraceSink(sink, coreId_);
-}
-
-void
-SimtCore::setHeatProfiler(HeatProfiler *heat)
-{
-    mmu_.setHeatProfiler(heat, coreId_);
-    memStage_.setHeatProfiler(heat);
-}
-
-void
-SimtCore::setSpanTracker(SpanTracker *spans)
-{
-    mmu_.setSpanTracker(spans, coreId_);
-    memStage_.setSpanTracker(spans, coreId_);
+    l1_.observe(probes, coreId_);
+    mmu_.observe(probes, coreId_);
+    memStage_.observe(probes, coreId_);
 }
 
 unsigned

@@ -101,9 +101,7 @@ class SimtCore : public ShaderCore
     L1Cache &l1() override { return l1_; }
     MemoryStage &memStage() override { return memStage_; }
 
-    void setTraceSink(TraceSink *sink) override;
-    void setHeatProfiler(HeatProfiler *heat) override;
-    void setSpanTracker(SpanTracker *spans) override;
+    void observe(const Probes &probes) override;
 
     bool
     setMemTraceWriter(MemTraceWriter *writer) override

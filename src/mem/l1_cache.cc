@@ -79,10 +79,10 @@ L1Cache::access(PhysAddr line_addr, bool is_write, Cycle now, int warp_id)
             return out;
         }
         hits_.inc();
-        if (trace_)
-            trace_->instantAt(TraceCat::L1, "l1_hit", traceTid_, now,
-                              "line", line_addr, "warp",
-                              static_cast<std::uint64_t>(warp_id));
+        if (probes_.trace)
+            probes_.trace->instantAt(TraceCat::L1, "l1_hit", tid_, now,
+                                     "line", line_addr, "warp",
+                                     static_cast<std::uint64_t>(warp_id));
         out.hit = true;
         out.readyAt = now + cfg_.hitLatency;
         return out;
@@ -114,10 +114,10 @@ L1Cache::access(PhysAddr line_addr, bool is_write, Cycle now, int warp_id)
     }
 
     accesses_.inc();
-    if (trace_)
-        trace_->instantAt(TraceCat::L1, "l1_miss", traceTid_, now,
-                          "line", line_addr, "warp",
-                          static_cast<std::uint64_t>(warp_id));
+    if (probes_.trace)
+        probes_.trace->instantAt(TraceCat::L1, "l1_miss", tid_, now,
+                                 "line", line_addr, "warp",
+                                 static_cast<std::uint64_t>(warp_id));
     auto shared = mem_.access(line_addr, false, now + cfg_.hitLatency,
                               AccessSource::Data);
     mshrs_.insert(std::lower_bound(mshrs_.begin(), mshrs_.end(),

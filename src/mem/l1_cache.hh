@@ -61,11 +61,11 @@ class L1Cache
         onEvict_ = std::move(fn);
     }
 
-    /** Attach an event trace sink; @p tid labels this instance. */
-    void setTraceSink(TraceSink *sink, int tid)
+    /** Arm the observers (trace); @p tid labels this instance. */
+    void observe(const Probes &probes, int tid)
     {
-        trace_ = sink;
-        traceTid_ = tid;
+        probes_ = probes;
+        tid_ = tid;
     }
 
     void flush();
@@ -117,8 +117,8 @@ class L1Cache
      */
     std::vector<Mshr> mshrs_;
     EvictionListener onEvict_;
-    TraceSink *trace_ = nullptr;
-    int traceTid_ = 0;
+    Probes probes_;
+    int tid_ = 0;
 
     Counter accesses_;
     Counter hits_;

@@ -59,17 +59,17 @@ MemorySystem::access(PhysAddr line_addr, bool is_write, Cycle now,
         l2Hits_.inc();
         if (source == AccessSource::PageWalk)
             walkL2Hits_.inc();
-        if (trace_)
-            trace_->instantAt(TraceCat::L2, "l2_hit", tid, l2_start,
-                              "line", line_addr, "walk", is_walk);
+        if (probes_.trace)
+            probes_.trace->instantAt(TraceCat::L2, "l2_hit", tid, l2_start,
+                                     "line", line_addr, "walk", is_walk);
         out.hit = true;
         out.readyAt = l2_start + cfg_.l2HitLatency + cfg_.icntLatency;
         return out;
     }
 
-    if (trace_)
-        trace_->instantAt(TraceCat::L2, "l2_miss", tid, l2_start,
-                          "line", line_addr, "walk", is_walk);
+    if (probes_.trace)
+        probes_.trace->instantAt(TraceCat::L2, "l2_miss", tid, l2_start,
+                                 "line", line_addr, "walk", is_walk);
 
     if (is_write) {
         // Coalesced GPU stores write whole lines: the L2 allocates
@@ -97,10 +97,10 @@ MemorySystem::access(PhysAddr line_addr, bool is_write, Cycle now,
         part.dramBusyUntil = dram_start + cfg_.dramServiceInterval;
     }
     dramAccesses_.inc();
-    if (trace_)
-        trace_->span(TraceCat::Dram, "dram_busy", tid, dram_start,
-                     cfg_.dramServiceInterval, "line", line_addr,
-                     "walk", is_walk);
+    if (probes_.trace)
+        probes_.trace->span(TraceCat::Dram, "dram_busy", tid, dram_start,
+                            cfg_.dramServiceInterval, "line", line_addr,
+                            "walk", is_walk);
 
     part.l2.insert(line_addr, 0);
 

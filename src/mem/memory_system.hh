@@ -17,12 +17,11 @@
 
 #include "mem/request.hh"
 #include "mem/set_assoc.hh"
+#include "sim/probes.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace gpummu {
-
-class TraceSink;
 
 struct MemorySystemConfig
 {
@@ -78,8 +77,8 @@ class MemorySystem
     /** Register statistics under the given prefix. */
     void regStats(StatRegistry &reg, const std::string &prefix);
 
-    /** Attach an event trace sink (observation-only; may be null). */
-    void setTraceSink(TraceSink *sink) { trace_ = sink; }
+    /** Arm the observers (trace; observation-only). */
+    void observe(const Probes &probes) { probes_ = probes; }
 
     // Aggregate statistics, exposed for experiment reports.
     std::uint64_t l2Accesses() const { return l2Accesses_.value(); }
@@ -106,7 +105,7 @@ class MemorySystem
 
     MemorySystemConfig cfg_;
     std::vector<Partition> partitions_;
-    TraceSink *trace_ = nullptr;
+    Probes probes_;
 
     Counter l2Accesses_;
     Counter l2Hits_;

@@ -57,8 +57,8 @@ Iommu::issueWalk(Vpn key, Cycle at, Cycle started)
             missLatency_.sample(finish - started);
             // The owning span and every request merged behind it
             // fill and retire at the same completion cycle.
-            if (spans_)
-                spans_->closeAllAt(key, SpanStage::Fill, finish);
+            if (probes_.spans)
+                probes_.spans->closeAllAt(key, SpanStage::Fill, finish);
             auto wit = outstanding_.find(key);
             GPUMMU_ASSERT(wit != outstanding_.end());
             auto waiters = std::move(wit->second);
@@ -78,16 +78,15 @@ Iommu::translate(Vpn key, Cycle now, DoneFn done)
 
     // Depart -> probe is interconnect + port queueing; requests that
     // reach translate() directly (tests) open their span here.
-    if (spans_)
-        spans_->openOrStageAt(key, SpanStage::IommuLookup, start,
-                              spanTid_);
+    if (probes_.spans)
+        probes_.spans->openOrStageAt(key, SpanStage::IommuLookup, start, tid_);
 
     auto res = tlb_.lookup(key, /*warp=*/-1);
     if (res.hit) {
         if (checker_)
             checker_->onTlbHit(key, res.ppn, kPageShift4K);
-        if (spans_)
-            spans_->closeNewestAt(key, SpanStage::IommuHit, looked_up);
+        if (probes_.spans)
+            probes_.spans->closeNewestAt(key, SpanStage::IommuHit, looked_up);
         done(res.ppn, looked_up);
         return;
     }
@@ -97,8 +96,8 @@ Iommu::translate(Vpn key, Cycle now, DoneFn done)
         mergedWalks_.inc();
         // Beside the merge counter: IommuMerge-stage span count ==
         // iommu merged_walks (conservation check).
-        if (spans_)
-            spans_->stageAt(key, SpanStage::IommuMerge, start);
+        if (probes_.spans)
+            probes_.spans->stageAt(key, SpanStage::IommuMerge, start);
         it->second.push_back(std::move(done));
         return;
     }
@@ -115,8 +114,8 @@ Iommu::translate(Vpn key, Cycle now, DoneFn done)
                       "IOMMU access to unreserved VPN ", vpn,
                       " (asid ", asid, ")");
         pm_->noteFault(asid);
-        if (spans_)
-            spans_->stageAt(key, SpanStage::IommuFault, looked_up);
+        if (probes_.spans)
+            probes_.spans->stageAt(key, SpanStage::IommuFault, looked_up);
         const Cycle serviced =
             looked_up + pm_->osConfig().faultLatency;
         eq_.schedule(serviced, [this, key, now, serviced, &as]() {

@@ -91,36 +91,21 @@ class Iommu
     /** The armed checker, or nullptr. */
     const InvariantChecker *checker() const { return checker_.get(); }
 
-    /** Attach an event trace sink to the shared TLB and walkers. */
-    void
-    setTraceSink(TraceSink *sink, int tid)
-    {
-        tlb_.setTraceSink(sink, tid);
-        walkers_.setTraceSink(sink, tid);
-    }
-
-    /** Attach a translation heat profiler to the shared walkers
-     *  (tid -1: references are GPU-wide, not per core). */
-    void
-    setHeatProfiler(HeatProfiler *heat, int tid)
-    {
-        walkers_.setHeatProfiler(heat, tid);
-    }
-
     /**
-     * Attach a translation-lifecycle span tracker (observation-only).
-     * The shared TLB is deliberately *not* armed: each requesting
+     * Arm the observers (observation-only); @p tid labels this unit.
+     * The shared TLB gets the trace only: for spans, each requesting
      * core's memory stage opens the span when the request departs for
      * the controller, and this unit stamps the lookup / hit / merge /
      * fault / fill stages onto it (translate() keys already are span
      * keys). Walker stages ride the pool's own hooks at key shift 0.
      */
     void
-    setSpanTracker(SpanTracker *spans, int tid)
+    observe(const Probes &probes, int tid)
     {
-        spans_ = spans;
-        spanTid_ = tid;
-        walkers_.setSpanTracker(spans, tid, 0);
+        tlb_.observe(Probes{probes.trace, nullptr, nullptr}, tid);
+        walkers_.observe(probes, tid);
+        probes_ = probes;
+        tid_ = tid;
     }
 
     void regStats(StatRegistry &reg, const std::string &prefix);
@@ -142,8 +127,8 @@ class Iommu
     std::unique_ptr<InvariantChecker> checker_;
     Tlb tlb_;
     PageWalkers walkers_;
-    SpanTracker *spans_ = nullptr;
-    int spanTid_ = 0;
+    Probes probes_;
+    int tid_ = 0;
     Cycle portFreeAt_ = 0;
 
     /** Waiters for in-flight walks, merged per composed key. */

@@ -41,19 +41,19 @@ L2Tlb::access(Vpn tag, Cycle now, WakeFn done)
 
     // The miss-to-issue gap is port queueing; the stages below stamp
     // the disposition on top of it.
-    if (spans_)
-        spans_->stageAt(tag, SpanStage::L2Lookup, issue);
+    if (probes_.spans)
+        probes_.spans->stageAt(tag, SpanStage::L2Lookup, issue);
 
     auto res = array_.lookup(tag);
     if (res.hit) {
         hits_.inc();
         if (checker_)
             checker_->onTlbHit(tag, res.payload->ppn, pageShift_);
-        if (trace_)
-            trace_->instantAt(TraceCat::L2Tlb, "l2tlb_hit", traceTid_,
-                              issue, "vpn", tag);
-        if (spans_)
-            spans_->stageAt(tag, SpanStage::L2Hit, ready);
+        if (probes_.trace)
+            probes_.trace->instantAt(TraceCat::L2Tlb, "l2tlb_hit", tid_,
+                                     issue, "vpn", tag);
+        if (probes_.spans)
+            probes_.spans->stageAt(tag, SpanStage::L2Hit, ready);
         HitWake *ev = hitArena_.create();
         ev->tlb = this;
         ev->tag = tag;
@@ -64,9 +64,9 @@ L2Tlb::access(Vpn tag, Cycle now, WakeFn done)
         return AccessResult{Outcome::Hit, ready};
     }
 
-    if (trace_)
-        trace_->instantAt(TraceCat::L2Tlb, "l2tlb_miss", traceTid_,
-                          issue, "vpn", tag);
+    if (probes_.trace)
+        probes_.trace->instantAt(TraceCat::L2Tlb, "l2tlb_miss", tid_,
+                                 issue, "vpn", tag);
 
     auto mshr = mshrs_.find(tag);
     if (mshr != mshrs_.end()) {
@@ -74,12 +74,12 @@ L2Tlb::access(Vpn tag, Cycle now, WakeFn done)
         mshrMerges_.inc();
         if (checker_)
             checker_->onMshrMerge(tag);
-        if (trace_)
-            trace_->instantAt(TraceCat::L2Tlb, "mshr_merge", traceTid_,
-                              issue, "vpn", tag);
+        if (probes_.trace)
+            probes_.trace->instantAt(TraceCat::L2Tlb, "mshr_merge", tid_,
+                                     issue, "vpn", tag);
         // Beside the merge counter: merged-span count == mshr_merges.
-        if (spans_)
-            spans_->stageAt(tag, SpanStage::L2Merge, issue);
+        if (probes_.spans)
+            probes_.spans->stageAt(tag, SpanStage::L2Merge, issue);
         mshr->second.push_back(std::move(done));
         return AccessResult{Outcome::Merged, ready};
     }
@@ -88,24 +88,24 @@ L2Tlb::access(Vpn tag, Cycle now, WakeFn done)
         // Structural: no MSHR to track the walk, so the requester
         // walks uncovered. fillBypass() still installs the result.
         mshrBypasses_.inc();
-        if (trace_)
-            trace_->instantAt(TraceCat::L2Tlb, "mshr_bypass",
-                              traceTid_, issue, "vpn", tag);
-        if (spans_)
-            spans_->stageAt(tag, SpanStage::L2Bypass, issue);
+        if (probes_.trace)
+            probes_.trace->instantAt(TraceCat::L2Tlb, "mshr_bypass",
+                                     tid_, issue, "vpn", tag);
+        if (probes_.spans)
+            probes_.spans->stageAt(tag, SpanStage::L2Bypass, issue);
         return AccessResult{Outcome::Bypass, ready};
     }
 
     if (checker_)
         checker_->onMshrAlloc(tag);
-    if (trace_) {
-        trace_->instantAt(TraceCat::L2Tlb, "mshr_alloc", traceTid_,
-                          issue, "vpn", tag);
-        trace_->counter(TraceCat::L2Tlb, "mshrs_active", traceTid_,
-                        mshrs_.size() + 1);
+    if (probes_.trace) {
+        probes_.trace->instantAt(TraceCat::L2Tlb, "mshr_alloc", tid_,
+                                 issue, "vpn", tag);
+        probes_.trace->counter(TraceCat::L2Tlb, "mshrs_active", tid_,
+                               mshrs_.size() + 1);
     }
-    if (spans_)
-        spans_->stageAt(tag, SpanStage::L2NeedWalk, issue);
+    if (probes_.spans)
+        probes_.spans->stageAt(tag, SpanStage::L2NeedWalk, issue);
     mshrs_[tag].push_back(std::move(done));
     return AccessResult{Outcome::NeedWalk, ready};
 }
@@ -132,15 +132,15 @@ L2Tlb::install(Vpn tag, const Translation &t)
     if (checker_)
         checker_->onTlbFill(tag, t.ppn, t.isLarge, pageShift_);
     fills_.inc();
-    if (trace_)
-        trace_->instant(TraceCat::L2Tlb, "l2tlb_fill", traceTid_,
-                        "vpn", tag, "ppn", t.ppn);
+    if (probes_.trace)
+        probes_.trace->instant(TraceCat::L2Tlb, "l2tlb_fill", tid_,
+                               "vpn", tag, "ppn", t.ppn);
     auto victim = array_.insert(tag, t);
     if (victim) {
         evictions_.inc();
-        if (trace_)
-            trace_->instant(TraceCat::L2Tlb, "l2tlb_evict", traceTid_,
-                            "vpn", victim->tag);
+        if (probes_.trace)
+            probes_.trace->instant(TraceCat::L2Tlb, "l2tlb_evict", tid_,
+                                   "vpn", victim->tag);
         if (onEvict_)
             onEvict_(victim->tag);
     }
@@ -171,15 +171,15 @@ L2Tlb::fill(Vpn tag, const Translation &t, Cycle ready)
     auto waiters = std::move(it->second);
     mshrs_.erase(it);
     wakeupsPerFill_.sample(waiters.size());
-    if (trace_)
-        trace_->counter(TraceCat::L2Tlb, "mshrs_active", traceTid_,
-                        mshrs_.size());
+    if (probes_.trace)
+        probes_.trace->counter(TraceCat::L2Tlb, "mshrs_active", tid_,
+                               mshrs_.size());
     for (auto &fn : waiters) {
         if (checker_)
             checker_->onMshrWake(tag);
-        if (trace_)
-            trace_->instant(TraceCat::L2Tlb, "mshr_wake", traceTid_,
-                            "vpn", tag);
+        if (probes_.trace)
+            probes_.trace->instant(TraceCat::L2Tlb, "mshr_wake", tid_,
+                                   "vpn", tag);
         fn(tag, t.ppn, t.isLarge, ready);
     }
 }
@@ -207,9 +207,9 @@ L2Tlb::flush()
     });
     array_.flush();
     for (Vpn tag : victims) {
-        if (trace_)
-            trace_->instant(TraceCat::L2Tlb, "l2tlb_evict", traceTid_,
-                            "vpn", tag);
+        if (probes_.trace)
+            probes_.trace->instant(TraceCat::L2Tlb, "l2tlb_evict", tid_,
+                                   "vpn", tag);
         if (onEvict_)
             onEvict_(tag);
     }
@@ -223,9 +223,9 @@ L2Tlb::invalidateMatching(const std::function<bool(std::uint64_t)> &pred)
             return pred(tag);
         });
     for (const auto &v : victims) {
-        if (trace_)
-            trace_->instant(TraceCat::L2Tlb, "l2tlb_evict", traceTid_,
-                            "vpn", v.tag);
+        if (probes_.trace)
+            probes_.trace->instant(TraceCat::L2Tlb, "l2tlb_evict", tid_,
+                                   "vpn", v.tag);
         if (onEvict_)
             onEvict_(v.tag);
     }

@@ -40,14 +40,12 @@
 #include "mem/set_assoc.hh"
 #include "sim/arena.hh"
 #include "sim/event_queue.hh"
+#include "sim/probes.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 #include "vm/page_table.hh"
 
 namespace gpummu {
-
-class SpanTracker;
-class TraceSink;
 
 struct L2TlbConfig
 {
@@ -163,24 +161,15 @@ class L2Tlb
         onEvict_ = std::move(fn);
     }
 
-    /** Attach an event trace sink; @p tid labels this instance
-     *  (-1 marks the GPU-wide shared structure). */
+    /** Arm the observers (trace, spans); @p tid labels this instance
+     *  (-1 marks the GPU-wide shared structure). Each access stamps
+     *  the requesting span with its port-arbitrated issue cycle and
+     *  disposition (hit / merge / bypass / walk). */
     void
-    setTraceSink(TraceSink *sink, int tid)
+    observe(const Probes &probes, int tid)
     {
-        trace_ = sink;
-        traceTid_ = tid;
-    }
-
-    /** Attach a translation-lifecycle span tracker (observation-
-     *  only): each access stamps the requesting span with its port-
-     *  arbitrated issue cycle and disposition (hit / merge / bypass /
-     *  walk). */
-    void
-    setSpanTracker(SpanTracker *spans, int tid)
-    {
-        spans_ = spans;
-        spanTid_ = tid;
+        probes_ = probes;
+        tid_ = tid;
     }
 
     /**
@@ -246,10 +235,8 @@ class L2Tlb
     std::set<Vpn> poisoned_;
 
     EvictionListener onEvict_;
-    TraceSink *trace_ = nullptr;
-    int traceTid_ = 0;
-    SpanTracker *spans_ = nullptr;
-    int spanTid_ = 0;
+    Probes probes_;
+    int tid_ = 0;
 
     Counter lookups_;
     Counter hits_;

@@ -160,9 +160,9 @@ Mmu::finishWalk(Vpn tag, std::uint64_t frame_base, bool is_large,
 
     // Every span that missed on this page - the walk owner plus each
     // merged requester - fills and retires at the same ready cycle.
-    if (spans_)
-        spans_->closeAllAt(asidKey(asid_, tag), SpanStage::Fill,
-                           finish);
+    if (probes_.spans)
+        probes_.spans->closeAllAt(asidKey(asid_, tag), SpanStage::Fill,
+                                  finish);
 
     for (auto &fn : waiters)
         fn(tag, frame_base, finish);
@@ -227,9 +227,9 @@ Mmu::requestWalks(const std::vector<Vpn> &vpns, int warp_id, Cycle now,
             mergedWalks_.inc();
             // Beside the merge counter: MmuMerge-stage span count ==
             // merged_walks (conservation check).
-            if (spans_)
-                spans_->stageAt(asidKey(asid_, vpn),
-                                SpanStage::MmuMerge, now);
+            if (probes_.spans)
+                probes_.spans->stageAt(asidKey(asid_, vpn),
+                                       SpanStage::MmuMerge, now);
             it->second.push_back(done);
             continue;
         }

@@ -43,7 +43,6 @@
 namespace gpummu {
 
 class L2Tlb;
-class SpanTracker;
 
 struct MmuConfig
 {
@@ -239,37 +238,19 @@ class Mmu
     /** The armed checker, or nullptr (tests assert check volumes). */
     const InvariantChecker *checker() const { return checker_.get(); }
 
-    /** Attach an event trace sink to the TLB and walker pool;
-     *  @p tid labels this core's instances. */
-    void
-    setTraceSink(TraceSink *sink, int tid)
-    {
-        tlb_.setTraceSink(sink, tid);
-        walkers_.setTraceSink(sink, tid);
-    }
-
-    /** Attach a translation heat profiler to the walker pool;
-     *  @p tid labels this core in sharer masks. */
-    void
-    setHeatProfiler(HeatProfiler *heat, int tid)
-    {
-        walkers_.setHeatProfiler(heat, tid);
-    }
-
     /**
-     * Attach a translation-lifecycle span tracker (observation-only,
-     * like the trace sink) to the TLB, the walker pool and this MMU's
-     * own merge/fill points; @p tid labels this core's spans. The
-     * walker pool converts its 4K walk VPNs back to this MMU's
-     * translation granularity so every layer stamps the same span key.
+     * Arm the observers (observation-only) on the TLB, the walker
+     * pool and this MMU's own merge/fill points; @p tid labels this
+     * core's instances. The walker pool converts its 4K walk VPNs
+     * back to this MMU's translation granularity so every layer
+     * stamps the same span key.
      */
     void
-    setSpanTracker(SpanTracker *spans, int tid)
+    observe(const Probes &probes, int tid)
     {
-        tlb_.setSpanTracker(spans, tid);
-        walkers_.setSpanTracker(spans, tid,
-                                pageShift_ - kPageShift4K);
-        spans_ = spans;
+        tlb_.observe(probes, tid);
+        walkers_.observe(probes, tid, pageShift_ - kPageShift4K);
+        probes_ = probes;
     }
 
     void regStats(StatRegistry &reg, const std::string &prefix);
@@ -332,7 +313,7 @@ class Mmu
     Tlb tlb_;
     PageWalkers walkers_;
     L2Tlb *l2_ = nullptr;
-    SpanTracker *spans_ = nullptr;
+    Probes probes_;
 
     /** VPN -> waiters, for merging concurrent walks to one page. */
     std::map<Vpn, std::vector<WalkDoneFn>> outstanding_;

@@ -30,20 +30,20 @@ PageWalkers::walkRef(PhysAddr line_addr, unsigned level, Cycle at)
     const Cycle issue = std::max(at, portFreeAt_);
     portFreeAt_ = issue + cfg_.portInterval;
     refsIssued_.inc();
-    if (trace_)
-        trace_->instantAt(TraceCat::Ptw, "walk_ref", traceTid_, issue,
-                          "line", line_addr);
+    if (probes_.trace)
+        probes_.trace->instantAt(TraceCat::Ptw, "walk_ref", tid_, issue,
+                                 "line", line_addr);
     if (checker_)
         checker_->onPagingLine(line_addr, kLineShift);
     if (cfg_.pwcLines > 0) {
         auto res = pwc_.lookup(line_addr);
         if (res.hit) {
             pwcHits_.inc();
-            if (heat_)
-                heat_->onWalkRef(line_addr, level, heatTid_,
-                                 HeatProfiler::RefWhere::Pwc);
-            if (spans_)
-                spans_->walkRef(level, SpanWalkRef::Pwc);
+            if (probes_.heat)
+                probes_.heat->onWalkRef(line_addr, level, tid_,
+                                        HeatProfiler::RefWhere::Pwc);
+            if (probes_.spans)
+                probes_.spans->walkRef(level, SpanWalkRef::Pwc);
             // The line enters the cache when its fetch is *issued*,
             // so a hit may land while the fill is still in flight
             // from memory; such a hit cannot complete before the
@@ -53,15 +53,15 @@ PageWalkers::walkRef(PhysAddr line_addr, unsigned level, Cycle at)
     }
     auto out =
         mem_.access(line_addr, false, issue, AccessSource::PageWalk);
-    if (heat_)
-        heat_->onWalkRef(line_addr, level, heatTid_,
-                         out.dram ? HeatProfiler::RefWhere::Dram
-                                  : HeatProfiler::RefWhere::L2);
+    if (probes_.heat)
+        probes_.heat->onWalkRef(line_addr, level, tid_,
+                                out.dram ? HeatProfiler::RefWhere::Dram
+                                         : HeatProfiler::RefWhere::L2);
     // Mirrors the heat classification exactly: span walk-ref totals
     // == ptw refs_issued (conservation check).
-    if (spans_)
-        spans_->walkRef(level, out.dram ? SpanWalkRef::Dram
-                                        : SpanWalkRef::L2);
+    if (probes_.spans)
+        probes_.spans->walkRef(level, out.dram ? SpanWalkRef::Dram
+                                               : SpanWalkRef::L2);
     if (cfg_.pwcLines > 0)
         pwc_.insert(line_addr, out.readyAt);
     return out.readyAt;
@@ -82,12 +82,12 @@ PageWalkers::requestBatchFor(const PageTable &pt, Asid asid,
     for (Vpn vpn : vpns) {
         if (checker_)
             checker_->onWalkEnqueued(asidKey(asid, vpn));
-        if (trace_)
-            trace_->instantAt(TraceCat::Ptw, "walk_enqueue",
-                              traceTid_, now, "vpn", vpn);
-        if (spans_)
-            spans_->stageAt(asidKey(asid, vpn >> spanKeyShift_),
-                            SpanStage::WalkEnqueue, now);
+        if (probes_.trace)
+            probes_.trace->instantAt(TraceCat::Ptw, "walk_enqueue",
+                                     tid_, now, "vpn", vpn);
+        if (probes_.spans)
+            probes_.spans->stageAt(asidKey(asid, vpn >> spanKeyShift_),
+                                   SpanStage::WalkEnqueue, now);
         queue_.push_back(PendingWalk{vpn, now, done, &pt, asid});
     }
     pump(now);
@@ -137,17 +137,17 @@ PageWalkers::startNaive(unsigned w, Cycle now)
     }
     batch->walks.push_back(std::move(walk));
     ++inFlight_;
-    if (trace_) {
-        trace_->instantAt(TraceCat::Ptw, "walk_grant", traceTid_, now,
-                          "vpn", batch->walks.back().vpn, "walker", w);
-        trace_->counter(TraceCat::Ptw, "walks_in_flight", traceTid_,
-                        inFlight_);
+    if (probes_.trace) {
+        probes_.trace->instantAt(TraceCat::Ptw, "walk_grant", tid_, now,
+                                 "vpn", batch->walks.back().vpn, "walker", w);
+        probes_.trace->counter(TraceCat::Ptw, "walks_in_flight", tid_,
+                               inFlight_);
     }
     // Enqueue -> grant is the walker-queueing portion of the span.
-    if (spans_) {
+    if (probes_.spans) {
         const PendingWalk &walk = batch->walks.back();
-        spans_->stageAt(asidKey(walk.asid, walk.vpn >> spanKeyShift_),
-                        SpanStage::WalkGrant, now);
+        probes_.spans->stageAt(asidKey(walk.asid, walk.vpn >> spanKeyShift_),
+                               SpanStage::WalkGrant, now);
     }
     walkerBusy_[w] = true;
     stepLevel(w, batch, now);
@@ -170,18 +170,18 @@ PageWalkers::startScheduledBatch(unsigned w, Cycle now)
         paths.push_back(walk.pt->walk(walk.vpn));
     }
     inFlight_ += static_cast<unsigned>(batch->walks.size());
-    if (trace_) {
+    if (probes_.trace) {
         for (const PendingWalk &walk : batch->walks)
-            trace_->instantAt(TraceCat::Ptw, "walk_grant", traceTid_,
-                              now, "vpn", walk.vpn, "walker", w);
-        trace_->counter(TraceCat::Ptw, "walks_in_flight", traceTid_,
-                        inFlight_);
+            probes_.trace->instantAt(TraceCat::Ptw, "walk_grant", tid_,
+                                     now, "vpn", walk.vpn, "walker", w);
+        probes_.trace->counter(TraceCat::Ptw, "walks_in_flight", tid_,
+                               inFlight_);
     }
-    if (spans_) {
+    if (probes_.spans) {
         for (const PendingWalk &walk : batch->walks)
-            spans_->stageAt(asidKey(walk.asid,
-                                    walk.vpn >> spanKeyShift_),
-                            SpanStage::WalkGrant, now);
+            probes_.spans->stageAt(asidKey(walk.asid,
+                                           walk.vpn >> spanKeyShift_),
+                                   SpanStage::WalkGrant, now);
     }
 
     unsigned max_levels = 0;
@@ -241,12 +241,12 @@ PageWalkers::fireWalkDone(void *ctx, Cycle now)
     GPUMMU_ASSERT(now == ev->ready);
     GPUMMU_ASSERT(pool->inFlight_ > 0);
     --pool->inFlight_;
-    if (pool->trace_) {
-        pool->trace_->span(TraceCat::Ptw, "page_walk", pool->traceTid_,
-                           ev->enqueued, ev->ready - ev->enqueued,
-                           "vpn", ev->vpn);
-        pool->trace_->counter(TraceCat::Ptw, "walks_in_flight",
-                              pool->traceTid_, pool->inFlight_);
+    if (pool->probes_.trace) {
+        pool->probes_.trace->span(TraceCat::Ptw, "page_walk", pool->tid_,
+                                  ev->enqueued, ev->ready - ev->enqueued,
+                                  "vpn", ev->vpn);
+        pool->probes_.trace->counter(TraceCat::Ptw, "walks_in_flight",
+                                     pool->tid_, pool->inFlight_);
     }
     if (pool->checker_)
         pool->checker_->onWalkCompleted(asidKey(ev->asid, ev->vpn));
@@ -285,13 +285,13 @@ PageWalkers::stepLevel(unsigned w, ActiveBatch *batch, Cycle now)
             PendingWalk &walk = batch->walks[idx];
             walks_.inc();
             walkLatency_.sample(ready - walk.enqueued);
-            if (spans_)
-                spans_->stageAt(asidKey(walk.asid,
-                                        walk.vpn >> spanKeyShift_),
-                                SpanStage::WalkDone, ready);
-            if (heat_)
-                heat_->onWalkComplete(asidKey(walk.asid, walk.vpn),
-                                      heatTid_, walk.enqueued, ready);
+            if (probes_.spans)
+                probes_.spans->stageAt(asidKey(walk.asid,
+                                               walk.vpn >> spanKeyShift_),
+                                       SpanStage::WalkDone, ready);
+            if (probes_.heat)
+                probes_.heat->onWalkComplete(asidKey(walk.asid, walk.vpn),
+                                             tid_, walk.enqueued, ready);
             // Each walk finishes exactly once, so its done callback
             // can move into the completion node.
             WalkDone *ev = doneArena_.create();

@@ -28,16 +28,14 @@
 #include "mem/memory_system.hh"
 #include "sim/arena.hh"
 #include "sim/event_queue.hh"
+#include "sim/probes.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 #include "vm/page_table.hh"
 
 namespace gpummu {
 
-class HeatProfiler;
 class InvariantChecker;
-class SpanTracker;
-class TraceSink;
 
 struct PtwConfig
 {
@@ -118,37 +116,21 @@ class PageWalkers
      */
     void setChecker(InvariantChecker *chk) { checker_ = chk; }
 
-    /** Attach an event trace sink; @p tid labels this instance. */
-    void
-    setTraceSink(TraceSink *sink, int tid)
-    {
-        trace_ = sink;
-        traceTid_ = tid;
-    }
-
-    /** Attach a translation heat profiler; @p tid labels this
-     *  instance in sharer masks (-1 for GPU-wide pools). */
-    void
-    setHeatProfiler(HeatProfiler *heat, int tid)
-    {
-        heat_ = heat;
-        heatTid_ = tid;
-    }
-
     /**
-     * Attach a translation-lifecycle span tracker (observation-only):
-     * stamps enqueue / grant / completion on each walk's span and
-     * classifies every issued reference by radix level and service
-     * point (walk cache / shared L2 / DRAM). @p key_shift converts
-     * this pool's 4K walk VPNs back to the owner's span-key
-     * granularity (pageShift - 12; 0 for 4K owners like the IOMMU).
+     * Arm the observers (observation-only). @p tid labels this pool
+     * (-1 for GPU-wide pools). Spans get enqueue / grant / completion
+     * stamps on each walk and every issued reference classified by
+     * radix level and service point (walk cache / shared L2 / DRAM);
+     * @p span_key_shift converts this pool's 4K walk VPNs back to the
+     * owner's span-key granularity (pageShift - 12; 0 for 4K owners
+     * like the IOMMU).
      */
     void
-    setSpanTracker(SpanTracker *spans, int tid, unsigned key_shift)
+    observe(const Probes &probes, int tid, unsigned span_key_shift = 0)
     {
-        spans_ = spans;
-        spanTid_ = tid;
-        spanKeyShift_ = key_shift;
+        probes_ = probes;
+        tid_ = tid;
+        spanKeyShift_ = span_key_shift;
     }
 
     /**
@@ -258,12 +240,8 @@ class PageWalkers
     MemorySystem &mem_;
     EventQueue &eq_;
     InvariantChecker *checker_ = nullptr;
-    TraceSink *trace_ = nullptr;
-    int traceTid_ = 0;
-    HeatProfiler *heat_ = nullptr;
-    int heatTid_ = 0;
-    SpanTracker *spans_ = nullptr;
-    int spanTid_ = 0;
+    Probes probes_;
+    int tid_ = 0;
     unsigned spanKeyShift_ = 0;
 
     /** Pools for the event payloads above. Declared before the

@@ -20,29 +20,29 @@ Tlb::lookup(Vpn vpn, int warp_id, bool record)
         accesses_.inc();
         // The span opens beside the access counter so "spans opened
         // == tlb accesses" holds exactly (conservation check).
-        if (spans_)
-            spans_->openNow(vpn, SpanStage::L1Lookup, spanTid_);
+        if (probes_.spans)
+            probes_.spans->openNow(vpn, SpanStage::L1Lookup, tid_);
     }
     auto res = array_.lookup(vpn);
     LookupResult out;
     if (!res.hit) {
-        if (trace_ && record)
-            trace_->instant(TraceCat::Tlb, "tlb_miss", traceTid_,
-                            "vpn", vpn, "warp",
-                            static_cast<std::uint64_t>(warp_id));
-        if (spans_ && record)
-            spans_->stageNow(vpn, SpanStage::L1Miss);
+        if (probes_.trace && record)
+            probes_.trace->instant(TraceCat::Tlb, "tlb_miss", tid_,
+                                   "vpn", vpn, "warp",
+                                   static_cast<std::uint64_t>(warp_id));
+        if (probes_.spans && record)
+            probes_.spans->stageNow(vpn, SpanStage::L1Miss);
         return out;
     }
 
     if (record)
         hits_.inc();
-    if (trace_ && record)
-        trace_->instant(TraceCat::Tlb, "tlb_hit", traceTid_, "vpn",
-                        vpn, "warp",
-                        static_cast<std::uint64_t>(warp_id));
-    if (spans_ && record)
-        spans_->closeNewestNow(vpn, SpanStage::L1Hit);
+    if (probes_.trace && record)
+        probes_.trace->instant(TraceCat::Tlb, "tlb_hit", tid_, "vpn",
+                               vpn, "warp",
+                               static_cast<std::uint64_t>(warp_id));
+    if (probes_.spans && record)
+        probes_.spans->closeNewestNow(vpn, SpanStage::L1Hit);
     out.hit = true;
     out.depth = res.depth;
     out.ppn = res.payload->ppn;
@@ -85,14 +85,14 @@ Tlb::fill(Vpn vpn, const Translation &t, int alloc_warp)
     info.ppn = t.ppn;
     info.isLarge = t.isLarge;
     info.allocWarp = alloc_warp;
-    if (trace_)
-        trace_->instant(TraceCat::Tlb, "tlb_fill", traceTid_, "vpn",
-                        vpn, "ppn", t.ppn);
+    if (probes_.trace)
+        probes_.trace->instant(TraceCat::Tlb, "tlb_fill", tid_, "vpn",
+                               vpn, "ppn", t.ppn);
     auto victim = array_.insert(vpn, info);
     if (victim) {
-        if (trace_)
-            trace_->instant(TraceCat::Tlb, "tlb_evict", traceTid_,
-                            "vpn", victim->tag);
+        if (probes_.trace)
+            probes_.trace->instant(TraceCat::Tlb, "tlb_evict", tid_,
+                                   "vpn", victim->tag);
         if (onEvict_)
             onEvict_(victim->tag, victim->payload.allocWarp);
     }
@@ -120,9 +120,9 @@ Tlb::invalidateMatching(
     // an eviction the schedulers' bookkeeping must see.
     auto victims = array_.removeIf(pred);
     for (const auto &v : victims) {
-        if (trace_)
-            trace_->instant(TraceCat::Tlb, "tlb_evict", traceTid_,
-                            "vpn", v.tag);
+        if (probes_.trace)
+            probes_.trace->instant(TraceCat::Tlb, "tlb_evict", tid_,
+                                   "vpn", v.tag);
         if (onEvict_)
             onEvict_(v.tag, v.payload.allocWarp);
     }
@@ -146,9 +146,9 @@ Tlb::flush()
     });
     array_.flush();
     for (const auto &[vpn, alloc_warp] : victims) {
-        if (trace_)
-            trace_->instant(TraceCat::Tlb, "tlb_evict", traceTid_,
-                            "vpn", vpn);
+        if (probes_.trace)
+            probes_.trace->instant(TraceCat::Tlb, "tlb_evict", tid_,
+                                   "vpn", vpn);
         if (onEvict_)
             onEvict_(vpn, alloc_warp);
     }

@@ -19,6 +19,7 @@
 #include <string>
 
 #include "mem/set_assoc.hh"
+#include "sim/probes.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 #include "vm/page_table.hh"
@@ -26,8 +27,6 @@
 namespace gpummu {
 
 class InvariantChecker;
-class SpanTracker;
-class TraceSink;
 
 struct TlbConfig
 {
@@ -120,25 +119,17 @@ class Tlb
     /** One reference-equality + duplicate-tag sweep (no-op unarmed). */
     void checkSweep() const;
 
-    /** Attach an event trace sink; @p tid labels this instance. */
-    void
-    setTraceSink(TraceSink *sink, int tid)
-    {
-        trace_ = sink;
-        traceTid_ = tid;
-    }
-
     /**
-     * Attach a translation-lifecycle span tracker (observation-only,
-     * like the trace sink): every recorded lookup opens a span keyed
-     * by the composed tag; hits close it immediately, misses leave it
-     * open for the walk machinery's hooks downstream.
+     * Arm the observers (trace, spans); @p tid labels this instance.
+     * Every recorded lookup opens a span keyed by the composed tag;
+     * hits close it immediately, misses leave it open for the walk
+     * machinery's hooks downstream.
      */
     void
-    setSpanTracker(SpanTracker *spans, int tid)
+    observe(const Probes &probes, int tid)
     {
-        spans_ = spans;
-        spanTid_ = tid;
+        probes_ = probes;
+        tid_ = tid;
     }
 
     const TlbConfig &config() const { return cfg_; }
@@ -159,10 +150,8 @@ class Tlb
     EvictionListener onEvict_;
     InvariantChecker *checker_ = nullptr;
     unsigned checkShift_ = kPageShift4K;
-    TraceSink *trace_ = nullptr;
-    int traceTid_ = 0;
-    SpanTracker *spans_ = nullptr;
-    int spanTid_ = 0;
+    Probes probes_;
+    int tid_ = 0;
 
     Counter accesses_;
     Counter hits_;

@@ -50,25 +50,11 @@ TbcCore::setScheduler(std::unique_ptr<WarpScheduler> sched)
 }
 
 void
-TbcCore::setTraceSink(TraceSink *sink)
+TbcCore::observe(const Probes &probes)
 {
-    l1_.setTraceSink(sink, coreId_);
-    mmu_.setTraceSink(sink, coreId_);
-    memStage_.setTraceSink(sink, coreId_);
-}
-
-void
-TbcCore::setHeatProfiler(HeatProfiler *heat)
-{
-    mmu_.setHeatProfiler(heat, coreId_);
-    memStage_.setHeatProfiler(heat);
-}
-
-void
-TbcCore::setSpanTracker(SpanTracker *spans)
-{
-    mmu_.setSpanTracker(spans, coreId_);
-    memStage_.setSpanTracker(spans, coreId_);
+    l1_.observe(probes, coreId_);
+    mmu_.observe(probes, coreId_);
+    memStage_.observe(probes, coreId_);
 }
 
 unsigned

@@ -59,9 +59,7 @@ class TbcCore : public ShaderCore
     L1Cache &l1() override { return l1_; }
     MemoryStage &memStage() override { return memStage_; }
 
-    void setTraceSink(TraceSink *sink) override;
-    void setHeatProfiler(HeatProfiler *heat) override;
-    void setSpanTracker(SpanTracker *spans) override;
+    void observe(const Probes &probes) override;
     WarpStallAccounting &stallAccounting() override { return stalls_; }
 
     std::uint64_t instructionsIssued() const override

@@ -12,10 +12,10 @@
  * per-tenant breakdowns fall out of the key algebra for free.
  *
  * Like TraceSink and Telemetry, span tracking is strictly
- * observation-only: components hold a `SpanTracker *` that defaults
- * to nullptr, every hook is one pointer test, the tracker registers
- * no stats and feeds nothing back, so armed and unarmed runs are
- * bit-identical (test_spans enforces this on every registry
+ * observation-only: components receive the tracker as Probes::spans
+ * (sim/probes.hh), every hook is one pointer test, the tracker
+ * registers no stats and feeds nothing back, so armed and unarmed
+ * runs are bit-identical (test_spans enforces this on every registry
  * workload).
  *
  * Accounting model: each recorded transition is attributed the
@@ -118,8 +118,8 @@ class SpanTracker
 
     explicit SpanTracker(std::size_t top_k = 32);
 
-    /** Bind the clock used by the *Now hook variants. GpuTop binds
-     *  its event queue when a tracker is attached to a run. */
+    /** Bind the clock used by the *Now hook variants. The run binds
+     *  its event queue when it arms the tracker. */
     void bindClock(const EventQueue *eq) { clock_ = eq; }
 
     /**

@@ -20,11 +20,13 @@
  *    via telemetry/report.hh, a self-contained HTML report).
  *
  * Telemetry is strictly observation-only, exactly like TraceSink:
- * components hold a nullptr-guarded HeatProfiler pointer, GpuTop
- * holds a nullptr-guarded Telemetry pointer, nothing is registered in
- * the StatRegistry, and armed vs unarmed runs are bit-identical (the
+ * components receive the heat profiler as Probes::heat
+ * (sim/probes.hh) and guard every hook on it, the cycle loop takes a
+ * nullptr-guarded Telemetry pointer, nothing is registered in the
+ * StatRegistry, and armed vs unarmed runs are bit-identical (the
  * telemetry determinism tests enforce this). A Telemetry belongs to
- * exactly one run.
+ * exactly one run; it begins before an armed trace sink registers
+ * its "trace.*" stats, so its columns never depend on the trace.
  */
 
 #ifndef TELEMETRY_TELEMETRY_HH
@@ -182,9 +184,8 @@ class StatSampler
 };
 
 /**
- * Everything one run's telemetry produces. Arm with
- * GpuTop::setTelemetry() (or the telemetry parameter of
- * runConfigFull) before the cycle loop.
+ * Everything one run's telemetry produces. Arm through the telemetry
+ * parameter of runConfigFull or runMultiTenant.
  */
 class Telemetry
 {
@@ -193,7 +194,8 @@ class Telemetry
 
     const TelemetryConfig &config() const { return cfg_; }
 
-    /** Bind the sampler to the run's registry (GpuTop calls this). */
+    /** Bind the sampler to the run's registry (the run's arming
+     *  step calls this). */
     void begin(const StatRegistry &reg);
 
     /** Per-cycle hook from the cycle loop; closes an interval every

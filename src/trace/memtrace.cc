@@ -1,5 +1,6 @@
 #include "trace/memtrace.hh"
 
+#include <algorithm>
 #include <charconv>
 #include <sstream>
 
@@ -8,6 +9,7 @@
 #include "sim/logging.hh"
 #include "sim/parse_util.hh"
 #include "sim/stats.hh"
+#include "vm/address_space.hh"
 
 namespace gpummu {
 
@@ -222,6 +224,8 @@ struct LoadCtx
     bool sawProg = false;
     bool sawEnd = false;
     Cycle lastCycle = 0;
+    /** Where replay will map the regions read so far. */
+    std::vector<VmRegion> layout{};
 
     bool
     fail(const std::string &why)
@@ -396,11 +400,30 @@ parseAccess(LoadCtx &ctx, const std::vector<std::string> &tok)
         return ctx.fail("address count does not match the lane "
                         "mask");
     }
+    // Replay maps the declared regions in order on a fresh address
+    // space, so every recorded address must land inside one of them.
+    const std::vector<MemTraceRegion> &regions = ctx.out->regions;
+    if (ctx.layout.size() != regions.size()) {
+        ctx.layout.clear();
+        VirtAddr next = AddressSpace::alignBase(
+            AddressSpace::kDefaultBase, ctx.out->meta.largePages);
+        for (const MemTraceRegion &r : regions) {
+            ctx.layout.push_back(AddressSpace::carve(
+                next, r.bytes, ctx.out->meta.largePages));
+        }
+    }
     a.addrs.reserve(lanes);
     for (std::size_t i = 0; i < lanes; ++i) {
         VirtAddr addr = 0;
         if (!parseHex(tok[7 + i], addr))
             return ctx.fail("bad address");
+        if (std::none_of(ctx.layout.begin(), ctx.layout.end(),
+                         [addr](const VmRegion &r) {
+                             return r.contains(addr);
+                         })) {
+            return ctx.fail("address " + tok[7 + i] +
+                            " lies outside every declared region");
+        }
         a.addrs.push_back(addr);
     }
     ctx.out->accesses.push_back(std::move(a));

@@ -9,15 +9,16 @@
  * hits/misses and DRAM channel busy spans. The buffer exports Chrome
  * trace-event JSON (load the file in chrome://tracing or Perfetto).
  *
- * Tracing is strictly observation-only. Components hold a
- * `TraceSink *` that defaults to nullptr; every hook is guarded by
- * that one pointer test, so a disabled run costs a predictable
- * never-taken branch and armed/unarmed runs are bit-identical (the
- * determinism and golden tests enforce this).
+ * Tracing is strictly observation-only. Components receive the sink
+ * as Probes::trace (sim/probes.hh) through their one observe() call;
+ * every hook is guarded by that one pointer test, so a disabled run
+ * costs a predictable never-taken branch and armed/unarmed runs are
+ * bit-identical (the determinism and golden tests enforce this).
  *
  * The sink is single-threaded by design, like the simulator itself:
  * one TraceSink belongs to exactly one run. Parallel sweeps that want
- * traces run one traced point after the sweep.
+ * traces run one armed point after the sweep, which serves every
+ * other requested export too (benchutil::observeRun).
  */
 
 #ifndef TRACE_TRACE_HH
@@ -93,8 +94,8 @@ class TraceSink
 
     /**
      * Bind the simulation clock used for instants recorded without an
-     * explicit cycle. GpuTop binds its own event queue when a sink is
-     * attached to a run.
+     * explicit cycle. The run binds its event queue when it arms the
+     * sink.
      */
     void bindClock(const EventQueue *eq) { clock_ = eq; }
 

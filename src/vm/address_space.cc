@@ -12,24 +12,36 @@ constexpr std::uint64_t kFramesPer2M = kPageSize2M / kPageSize4K;
 
 AddressSpace::AddressSpace(PhysicalMemory &phys, bool use_large,
                            VirtAddr base, Asid asid)
-    : phys_(phys), pt_(phys), useLarge_(use_large), next_(base),
-      asid_(asid)
+    : phys_(phys), pt_(phys), useLarge_(use_large),
+      next_(alignBase(base, use_large)), asid_(asid)
 {
-    const std::uint64_t align = use_large ? kPageSize2M : kPageSize4K;
-    next_ = (next_ + align - 1) & ~(align - 1);
+}
+
+VirtAddr
+AddressSpace::alignBase(VirtAddr base, bool use_large)
+{
+    const std::uint64_t page = use_large ? kPageSize2M : kPageSize4K;
+    return (base + page - 1) & ~(page - 1);
+}
+
+VmRegion
+AddressSpace::carve(VirtAddr &next, std::uint64_t bytes, bool use_large)
+{
+    const std::uint64_t page = use_large ? kPageSize2M : kPageSize4K;
+    VmRegion region;
+    region.base = next;
+    region.bytes = (bytes + page - 1) & ~(page - 1);
+    // Guard page between regions.
+    next = region.end() + page;
+    return region;
 }
 
 VmRegion
 AddressSpace::mmap(const std::string &name, std::uint64_t bytes)
 {
     GPUMMU_ASSERT(bytes > 0, "mmap of zero bytes: ", name);
-    const std::uint64_t page = useLarge_ ? kPageSize2M : kPageSize4K;
-    const std::uint64_t rounded = (bytes + page - 1) & ~(page - 1);
-
-    VmRegion region;
+    VmRegion region = carve(next_, bytes, useLarge_);
     region.name = name;
-    region.base = next_;
-    region.bytes = rounded;
     region.lazy = lazyBacking_;
 
     if (lazyBacking_) {
@@ -49,9 +61,7 @@ AddressSpace::mmap(const std::string &name, std::uint64_t bytes)
         }
     }
 
-    mappedBytes_ += rounded;
-    // Guard page between regions.
-    next_ = region.end() + page;
+    mappedBytes_ += region.bytes;
     regions_.push_back(region);
     return region;
 }

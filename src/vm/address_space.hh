@@ -68,7 +68,24 @@ class AddressSpace
      *                    process; TLB keys stay uncomposed)
      */
     AddressSpace(PhysicalMemory &phys, bool use_large = false,
-                 VirtAddr base = 0x10000000ULL, Asid asid = 0);
+                 VirtAddr base = kDefaultBase, Asid asid = 0);
+
+    /** First virtual address a space hands out by default. */
+    static constexpr VirtAddr kDefaultBase = 0x10000000ULL;
+
+    /** @p base rounded up to the page size: a fresh space's first
+     *  free address. */
+    static VirtAddr alignBase(VirtAddr base, bool use_large);
+
+    /**
+     * The span mmap() gives a region of @p bytes when the space's next
+     * free address is @p next: page-rounded, with @p next advanced
+     * past it and a guard page. Starting from alignBase() and carving
+     * the regions in mmap order predicts a space's layout without
+     * building it (the memtrace loader checks addresses this way).
+     */
+    static VmRegion carve(VirtAddr &next, std::uint64_t bytes,
+                          bool use_large);
 
     /**
      * Allocate and eagerly back a region. The base is page aligned

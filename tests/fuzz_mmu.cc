@@ -21,7 +21,10 @@
  *     verified against the owning process's page table.
  *  4. Full-stack fuzz: one small benchmark run through the whole GPU
  *     (cores, schedulers, caches, per-core MMUs or the shared IOMMU)
- *     at a random design point with SystemConfig::checkInvariants on.
+ *     at a random design point with SystemConfig::checkInvariants on,
+ *     then rerun with trace, telemetry and spans armed: the stat dump
+ *     must match the unarmed run's, every span must close and the
+ *     spans' walk references must equal the walkers' refs_issued.
  *
  * Any violation panics; the SIGABRT hook prints the reproducing
  * (seed, config) tuple first, and the per-seed driver catches any
@@ -50,6 +53,10 @@
 #include "mmu/iommu.hh"
 #include "mmu/mmu.hh"
 #include "sim/rng.hh"
+#include "stats_json.hh"
+#include "telemetry/span.hh"
+#include "telemetry/telemetry.hh"
+#include "trace/trace.hh"
 #include "vm/address_space.hh"
 #include "vm/process.hh"
 
@@ -389,7 +396,8 @@ fuzzMmuDirect(std::uint64_t seed, Rng &rng)
 
 /**
  * Phase 3: one small full-system run (cores, scheduler, caches, MMU
- * or IOMMU) at a random design point with the checker armed.
+ * or IOMMU) at a random design point with the checker armed, once
+ * unarmed and once with every observer armed.
  */
 void
 fuzzFullStack(std::uint64_t seed, Rng &rng)
@@ -433,16 +441,44 @@ fuzzFullStack(std::uint64_t seed, Rng &rng)
     const auto benches = allBenchmarks();
     const BenchmarkId bench = benches[rng.below(benches.size())];
 
-    setContext(seed, "full-stack fuzz: bench=" +
-                         std::string(benchmarkName(bench)) +
-                         " mode=" + mode_name + " cores=" +
-                         std::to_string(cfg.numCores) + " " +
-                         describeMmu(cfg.core.mmu, cfg.largePages) +
-                         describeL2Tlb(cfg.l2tlb) +
-                         " wseed=" + std::to_string(params.seed));
+    const std::string point =
+        "full-stack fuzz: bench=" + std::string(benchmarkName(bench)) +
+        " mode=" + mode_name + " cores=" +
+        std::to_string(cfg.numCores) + " " +
+        describeMmu(cfg.core.mmu, cfg.largePages) +
+        describeL2Tlb(cfg.l2tlb) +
+        " wseed=" + std::to_string(params.seed);
+    setContext(seed, point);
     const RunOutput out = runConfigFull(bench, cfg, params);
     if (out.stats.cycles == 0)
         fail("full-stack run retired no cycles");
+
+    // The observer paths: the same point with trace, telemetry and
+    // spans all armed must reproduce the unarmed run (the sink's own
+    // trace.* health counters aside), and the spans must conserve.
+    TraceSink trace;
+    TelemetryConfig tcfg;
+    tcfg.sampleInterval = rng.range(1, 4000);
+    Telemetry telemetry(tcfg);
+    SpanTracker spans;
+    setContext(seed, point + " armed: sample-interval=" +
+                         std::to_string(tcfg.sampleInterval));
+    const RunOutput armed = runConfigFull(bench, cfg, params, &trace,
+                                          &telemetry, nullptr, &spans);
+    if (!(armed.stats == out.stats) ||
+        withoutTraceStats(armed.statsJson) != out.statsJson) {
+        fail("observer-armed run diverged from the unarmed one");
+    }
+    if (spans.spansOpen() != 0) {
+        fail(std::to_string(spans.spansOpen()) +
+             " spans still open after the run drained");
+    }
+    const std::uint64_t refs =
+        sumCountersEndingWith(out.statsJson, ".ptw.refs_issued");
+    if (spans.walkRefsTotal() != refs) {
+        fail("span walk refs " + std::to_string(spans.walkRefsTotal()) +
+             " != walker refs_issued " + std::to_string(refs));
+    }
 }
 
 /**

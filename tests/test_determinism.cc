@@ -18,6 +18,7 @@
 #include "core/presets.hh"
 #include "core/sweep.hh"
 #include "sim/arena.hh"
+#include "stats_json.hh"
 #include "telemetry/telemetry.hh"
 #include "trace/trace.hh"
 
@@ -41,24 +42,6 @@ paperDefault()
     cfg.numCores = 4; // shrunk for test speed; determinism is
                       // independent of machine size
     return cfg;
-}
-
-/**
- * Strip the "trace.*" counters an armed TraceSink registers (its own
- * health stats) so the rest of the dump can be compared byte-for-byte
- * against an unarmed run. Counter names sort the trace.* block last
- * among counters, so a simple per-entry erase suffices.
- */
-std::string
-withoutTraceStats(std::string json)
-{
-    for (std::string::size_type pos;
-         (pos = json.find("\"trace.")) != std::string::npos;) {
-        auto end = json.find_first_of(",}", json.find(':', pos));
-        // Eat the preceding comma (trace.* never sorts first).
-        json.erase(json[pos - 1] == ',' ? pos - 1 : pos, end - pos + 1);
-    }
-    return json;
 }
 
 } // namespace

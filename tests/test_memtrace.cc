@@ -15,8 +15,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/experiment.hh"
 #include "core/presets.hh"
@@ -92,7 +94,7 @@ const char *kTinyTrace =
     "i 0 ld 0\n"
     "i 0 br 0 1 1 1\n"
     "i 1 exit\n"
-    "A 5 0 0 0 L 1 1000\n"
+    "A 5 0 0 0 L 1 10000000\n"
     "B 0 0 0 1 1\n"
     "end accesses=1 branches=1 cycles=10\n";
 
@@ -367,6 +369,59 @@ TEST(MemTraceNegative, TrailingDataAfterEnd)
 {
     expectLoadFails(std::string(kTinyTrace) + "A 11 0 0 0 L 1 1000\n",
                     "trailing data after end record");
+}
+
+TEST(MemTraceNegative, AccessOutsideEveryRegion)
+{
+    // Replay maps only the declared regions (region r spans
+    // 0x10000000 + 4KB, then a guard page); any other address used to
+    // reach the page walker and panic on the unmapped VPN.
+    expectLoadFails(mutateLine(8, "A 5 0 0 0 L 1 10001000"),
+                    "memtrace line 8: address 10001000 lies outside "
+                    "every declared region");
+
+    // The reproducer: one lane of a real kmeans capture pointed far
+    // outside its regions. Replay must stop with the loader's
+    // one-line error and exit 1, like any other malformed record.
+    TempFile trace("out_of_region.memtrace");
+    {
+        MemTraceWriter writer(trace.path());
+        WorkloadParams params = tinyParams();
+        params.scale = 0.05;
+        runConfigFull(BenchmarkId::Kmeans, presets::naiveTlb(), params,
+                      nullptr, nullptr, &writer);
+        ASSERT_TRUE(writer.ok()) << writer.error();
+    }
+    std::ifstream in(trace.path());
+    std::ostringstream mutated;
+    std::string line;
+    for (int n = 1; std::getline(in, line); ++n) {
+        if (n == 26) {
+            // "A cycle core block warp kind mask addr...": swap the
+            // first lane's address.
+            std::istringstream rec(line);
+            std::vector<std::string> tok;
+            for (std::string t; rec >> t;)
+                tok.push_back(t);
+            ASSERT_GT(tok.size(), 7u) << line;
+            ASSERT_EQ(tok[0], "A") << line;
+            tok[7] = "7fff0000a60";
+            line.clear();
+            for (const std::string &t : tok)
+                line += (line.empty() ? "" : " ") + t;
+        }
+        mutated << line << "\n";
+    }
+    expectLoadFails(mutated.str(),
+                    "memtrace line 26: address 7fff0000a60 lies "
+                    "outside every declared region");
+    {
+        std::ofstream out(trace.path());
+        out << mutated.str();
+    }
+    EXPECT_EXIT(TraceReplayWorkload::fromFile(trace.path()),
+                ::testing::ExitedWithCode(1),
+                "fatal: memtrace line 26: address 7fff0000a60");
 }
 
 TEST(MemTraceNegative, UnreadableFileIsAnError)

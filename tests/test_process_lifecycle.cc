@@ -289,7 +289,7 @@ TEST(CrossAsid, HeatProfilerAttributesWalksPerProcess)
     EventQueue eq;
     PageWalkers w((PtwConfig()), a.as.pageTable(), mem, eq);
     HeatProfiler heat;
-    w.setHeatProfiler(&heat, -1);
+    w.observe(Probes{nullptr, &heat, nullptr}, -1);
 
     unsigned done = 0;
     w.requestBatchFor(a.as.pageTable(), a.asid, {v}, 0,

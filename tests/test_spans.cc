@@ -16,7 +16,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <cstdio>
+#include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -26,7 +28,12 @@
 #include "core/multi_tenant.hh"
 #include "core/presets.hh"
 #include "core/sweep.hh"
+#include "stats_json.hh"
+#include "telemetry/report.hh"
 #include "telemetry/span.hh"
+#include "telemetry/telemetry.hh"
+#include "trace/memtrace.hh"
+#include "trace/trace.hh"
 
 using namespace gpummu;
 
@@ -49,21 +56,108 @@ paperDefault()
     return cfg;
 }
 
-/** Sum every counter in a statsJson dump whose name ends with
- *  @p suffix (e.g. ".mmu.tlb.accesses" across cores). */
-std::uint64_t
-sumCountersEndingWith(const std::string &json,
-                      const std::string &suffix)
+/** One simulation with the given observers armed (any may be null). */
+using ArmedRun = std::function<void(TraceSink *, Telemetry *,
+                                    MemTraceWriter *, SpanTracker *)>;
+
+/** What to arm on one observed run. */
+struct Arm
 {
-    const std::string needle = suffix + "\":";
-    std::uint64_t sum = 0;
-    for (std::string::size_type pos = json.find(needle);
-         pos != std::string::npos;
-         pos = json.find(needle, pos + needle.size())) {
-        sum += std::strtoull(json.c_str() + pos + needle.size(),
-                             nullptr, 10);
+    bool trace = false;
+    bool telemetry = false;
+    bool spans = false;
+    bool capture = false;
+};
+
+/** Every export of one observed run, as bytes ("" when unarmed). */
+struct Exports
+{
+    std::string trace;
+    std::string spansCsv, spansJson;
+    std::string samplesCsv, samplesJson, report;
+    std::string memtrace;
+};
+
+Exports
+observe(const ArmedRun &run, const Arm &arm)
+{
+    TraceSink sink;
+    TelemetryConfig tcfg;
+    tcfg.sampleInterval = 700;
+    Telemetry telemetry(tcfg);
+    SpanTracker spans;
+    const std::string capture_path =
+        ::testing::TempDir() + "one_run_serves_all.memtrace";
+    auto writer = arm.capture
+                      ? std::make_unique<MemTraceWriter>(capture_path)
+                      : nullptr;
+    run(arm.trace ? &sink : nullptr,
+        arm.telemetry ? &telemetry : nullptr, writer.get(),
+        arm.spans ? &spans : nullptr);
+
+    Exports e;
+    std::ostringstream os;
+    auto take = [&os](std::string &into) {
+        into = os.str();
+        os.str("");
+    };
+    if (arm.trace) {
+        sink.writeChromeTrace(os);
+        take(e.trace);
     }
-    return sum;
+    if (arm.spans) {
+        spans.writeCsv(os);
+        take(e.spansCsv);
+        spans.writeJson(os);
+        take(e.spansJson);
+    }
+    if (arm.telemetry) {
+        telemetry.writeCsv(os);
+        take(e.samplesCsv);
+        telemetry.writeJson(os);
+        take(e.samplesJson);
+        writeHtmlReport(os, telemetry, nullptr);
+        take(e.report);
+    }
+    if (arm.capture) {
+        writer.reset();
+        std::ifstream in(capture_path, std::ios::binary);
+        os << in.rdbuf();
+        take(e.memtrace);
+        std::remove(capture_path.c_str());
+    }
+    return e;
+}
+
+/**
+ * Arm trace, telemetry, spans and (with @p capture) memtrace on one
+ * run of @p run and check each export against a run armed with that
+ * observer alone. The trace is checked against a trace+spans run: a
+ * shared run draws the span flow arrows into it.
+ */
+void
+expectOneRunServesEveryExport(const ArmedRun &run, bool capture,
+                              const std::string &what)
+{
+    const Exports all = observe(run, {true, true, true, capture});
+    EXPECT_FALSE(all.trace.empty()) << what;
+    EXPECT_FALSE(all.spansCsv.empty()) << what;
+    EXPECT_FALSE(all.samplesCsv.empty()) << what;
+
+    const Exports traced = observe(run, {true, false, true, false});
+    EXPECT_EQ(all.trace, traced.trace) << what;
+    const Exports spanned = observe(run, {false, false, true, false});
+    EXPECT_EQ(all.spansCsv, spanned.spansCsv) << what;
+    EXPECT_EQ(all.spansJson, spanned.spansJson) << what;
+    const Exports sampled = observe(run, {false, true, false, false});
+    EXPECT_EQ(all.samplesCsv, sampled.samplesCsv) << what;
+    EXPECT_EQ(all.samplesJson, sampled.samplesJson) << what;
+    EXPECT_EQ(all.report, sampled.report) << what;
+    if (capture) {
+        EXPECT_FALSE(all.memtrace.empty()) << what;
+        const Exports captured = observe(run, {false, false, false, true});
+        EXPECT_EQ(all.memtrace, captured.memtrace) << what;
+    }
 }
 
 } // namespace
@@ -131,6 +225,35 @@ TEST(Spans, ArmedIommuTbcAndMultiTenantAreBitIdentical)
     // Span keys carry the tenants' ASIDs, so the per-ASID breakdown
     // sees both processes.
     EXPECT_EQ(mt_spans.perAsid().size(), mt.tenants.size());
+}
+
+TEST(Spans, OneArmedRunEqualsSingleObserverRuns)
+{
+    // Front ends serve every requested export from one armed run, so
+    // arming observers together must not change what any of them
+    // records: per-core MMUs, the shared L2 TLB, the IOMMU and the
+    // multi-tenant runner.
+    auto io = presets::iommu();
+    io.numCores = 4;
+    for (const SystemConfig &cfg :
+         {paperDefault(), presets::withSharedL2Tlb(paperDefault()), io}) {
+        expectOneRunServesEveryExport(
+            [&cfg](TraceSink *trace, Telemetry *telemetry,
+                   MemTraceWriter *memtrace, SpanTracker *spans) {
+                runConfigFull(BenchmarkId::Bfs, cfg, tinyParams(), trace,
+                              telemetry, memtrace, spans);
+            },
+            /*capture=*/true, cfg.name);
+    }
+
+    MultiTenantConfig mt = defaultMultiTenant(/*scale=*/0.05);
+    mt.params.seed = 42;
+    expectOneRunServesEveryExport(
+        [&mt](TraceSink *trace, Telemetry *telemetry, MemTraceWriter *,
+              SpanTracker *spans) {
+            runMultiTenant(mt, trace, telemetry, spans);
+        },
+        /*capture=*/false, "multi-tenant");
 }
 
 TEST(Spans, ConservationAgainstSimulationCounters)

@@ -14,13 +14,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 
 #include "core/presets.hh"
 #include "core/sweep.hh"
 #include "dse/grid.hh"
 #include "telemetry/report.hh"
+#include "stats_json.hh"
 #include "telemetry/telemetry.hh"
 
 using namespace gpummu;
@@ -50,23 +50,6 @@ tinyTelemetryConfig()
     TelemetryConfig t;
     t.sampleInterval = 2000; // several intervals even on tiny runs
     return t;
-}
-
-/** Sum every counter in a statsJson dump whose name ends with
- *  @p suffix (e.g. ".ptw.walks" across cores). */
-std::uint64_t
-sumCountersEndingWith(const std::string &json,
-                      const std::string &suffix)
-{
-    const std::string needle = suffix + "\":";
-    std::uint64_t sum = 0;
-    for (std::string::size_type pos = json.find(needle);
-         pos != std::string::npos;
-         pos = json.find(needle, pos + needle.size())) {
-        sum += std::strtoull(json.c_str() + pos + needle.size(),
-                             nullptr, 10);
-    }
-    return sum;
 }
 
 } // namespace
