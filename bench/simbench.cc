@@ -23,8 +23,11 @@
  *   --quick       only the memcached and mummergpu augmented-TLB
  *                 points (the CI smoke configuration)
  *   --pr          PR sequence number; default output path is
- *                 BENCH_<pr>.json in the current directory
- *   --bench-out   explicit output path (overrides --pr naming)
+ *                 BENCH_<pr>.json in the current directory, which
+ *                 must not exist yet (a committed baseline is never
+ *                 overwritten implicitly)
+ *   --bench-out   explicit output path (overrides --pr naming;
+ *                 overwrites)
  *   --compare     diff this run against an older BENCH_<n>.json:
  *                 per-point cycles/sec deltas for every point present
  *                 in both files, with a note when the deterministic
@@ -36,7 +39,8 @@
  *                 on any >15% throughput regression)
  *
  * Exit codes: 0 ok; 1 self-check, validation or --compare regression
- * failure; 2 bad usage or unwritable output path.
+ * failure; 2 bad usage (including a non-positive --scale), an
+ * unwritable output path, or an existing default output file.
  */
 
 #include <algorithm>
@@ -216,9 +220,11 @@ main(int argc, char **argv)
         // Strict full-token parses (sim/parse_util.hh): trailing
         // garbage, overflow and locale quirks are errors, never 0.
         if (parseArg(arg, "--scale", val)) {
-            if (!parseDouble(val, params.scale)) {
-                std::cerr << "simbench: bad --scale '" << val
-                          << "'\n";
+            if (!parseDouble(val, params.scale) ||
+                !(params.scale > 0.0)) {
+                std::cerr << "simbench: --scale wants a positive "
+                             "number, got '"
+                          << val << "'\n";
                 return 2;
             }
         } else if (parseArg(arg, "--seed", val)) {
@@ -266,8 +272,15 @@ main(int argc, char **argv)
         std::cerr << "simbench: --repeat must be >= 1\n";
         return 2;
     }
-    if (out_path.empty())
+    if (out_path.empty()) {
         out_path = "BENCH_" + std::to_string(pr) + ".json";
+        if (std::ifstream(out_path).good()) {
+            std::cerr << "simbench: " << out_path
+                      << " already exists; refusing to overwrite it "
+                         "(choose the output with --bench-out=<path>)\n";
+            return 2;
+        }
+    }
 
     BenchReport report;
     report.pr = pr;

@@ -50,17 +50,10 @@ MemoryStage::accessLine(PhysAddr pline, bool is_store, Cycle at,
 }
 
 MemIssueResult
-MemoryStage::issue(int warp_id, bool is_store,
-                   const std::vector<VirtAddr> &lane_addrs, Cycle now,
-                   CompleteFn complete)
+MemoryStage::issue(int warp_id, bool is_store, const CoalescedAccess &acc,
+                   Cycle now, CompleteFn complete)
 {
-    GPUMMU_ASSERT(!lane_addrs.empty(), "memory op with no active lanes");
-
-    const unsigned page_shift =
-        mmu_.config().enabled ? mmu_.pageShift() : kPageShift4K;
-    coalesceInto(accScratch_, spareLines_, lane_addrs, kLineShift,
-                 page_shift);
-    const CoalescedAccess &acc = accScratch_;
+    GPUMMU_ASSERT(!acc.pages.empty(), "memory op with no active lanes");
 
     lastIssueReason_ = StallReason::Interconnect;
     if (probes_.trace)
@@ -186,93 +179,104 @@ MemoryStage::issue(int warp_id, bool is_store,
     // --- Misses: start walks; policy decides what overlaps. ---
     const bool overlap = mmu_.config().cacheOverlap;
 
-    ArenaRc<WalkPending> pending = walkArena_.createRc();
+    WalkPending *pending = walkPool_.acquire();
+    pending->stage = this;
     pending->remainingWalks = miss_vpns.size();
     pending->ready = t0 + 1;
+    pending->lastWalkDone = 0;
     pending->isStore = is_store;
     pending->overlap = overlap;
     pending->warpId = warp_id;
     pending->complete = std::move(complete);
+    pending->lines.clear();
+    pending->groups.clear();
+    pending->replayOrder.clear();
 
     for (std::size_t i = 0; i < acc.pages.size(); ++i) {
         const auto &pg = acc.pages[i];
         const auto &vl = batch.lookups[i];
-        if (vl.hit) {
-            if (overlap) {
-                // Hitting threads look up the cache immediately, even
-                // though a warp-mate is walking.
-                for (std::uint64_t vline : pg.vlines) {
-                    const PhysAddr pa =
-                        mmu_.physAddr(vl.frameBase, vline << kLineShift);
-                    const Cycle done =
-                        accessLine(lineAddrOf(pa), is_store, t0, warp_id,
-                                   true);
-                    if (!is_store)
-                        pending->ready = std::max(pending->ready, done);
-                }
-            } else {
-                pending->deferredByFrame.emplace_back(vl.frameBase,
-                                                      pg.vlines);
+        if (vl.hit && overlap) {
+            // Hitting threads look up the cache immediately, even
+            // though a warp-mate is walking.
+            for (std::uint64_t vline : pg.vlines) {
+                const PhysAddr pa =
+                    mmu_.physAddr(vl.frameBase, vline << kLineShift);
+                const Cycle done = accessLine(lineAddrOf(pa), is_store,
+                                              t0, warp_id, true);
+                if (!is_store)
+                    pending->ready = std::max(pending->ready, done);
             }
+            continue;
+        }
+        WalkPending::Group g;
+        g.vpn = pg.vpn;
+        g.frame = vl.frameBase;
+        g.missing = !vl.hit;
+        g.begin = static_cast<std::uint32_t>(pending->lines.size());
+        pending->lines.insert(pending->lines.end(), pg.vlines.begin(),
+                              pg.vlines.end());
+        g.end = static_cast<std::uint32_t>(pending->lines.size());
+        if (vl.hit)
+            pending->replayOrder.push_back(
+                static_cast<std::uint32_t>(pending->groups.size()));
+        pending->groups.push_back(g);
+    }
+
+    mmu_.requestWalks(miss_vpns, warp_id, t0,
+                      Mmu::WalkDoneFn{&MemoryStage::onWalkDone, pending});
+    return MemIssueResult::Issued;
+}
+
+void
+MemoryStage::replay(WalkPending &p, const WalkPending::Group &g,
+                    std::uint64_t frame, Cycle at)
+{
+    for (std::uint32_t l = g.begin; l < g.end; ++l) {
+        const PhysAddr pa = mmu_.physAddr(frame, p.lines[l] << kLineShift);
+        const Cycle done =
+            accessLine(lineAddrOf(pa), p.isStore, at, p.warpId, true);
+        if (!p.isStore)
+            p.ready = std::max(p.ready, done);
+    }
+}
+
+void
+MemoryStage::onWalkDone(void *ctx, Vpn vpn, std::uint64_t frame, Cycle fin)
+{
+    auto *p = static_cast<WalkPending *>(ctx);
+    MemoryStage *stage = p->stage;
+    p->lastWalkDone = std::max(p->lastWalkDone, fin);
+    for (std::uint32_t gi = 0; gi < p->groups.size(); ++gi) {
+        WalkPending::Group &g = p->groups[gi];
+        if (!g.missing || g.vpn != vpn)
+            continue;
+        g.missing = false;
+        if (p->overlap) {
+            // Release this page's lines as soon as its walk ends.
+            stage->replay(*p, g, frame, fin);
         } else {
-            pending->deferredByVpn.emplace_back(pg.vpn, pg.vlines);
+            // Remember the frame; all lines go after the last walk.
+            g.frame = frame;
+            p->replayOrder.push_back(gi);
         }
     }
 
-    auto replay = [this, pending](std::uint64_t frame,
-                                  const std::vector<std::uint64_t> &vlines,
-                                  Cycle at) {
-        for (std::uint64_t vline : vlines) {
-            const PhysAddr pa = mmu_.physAddr(frame, vline << kLineShift);
-            const Cycle done = accessLine(lineAddrOf(pa),
-                                          pending->isStore, at,
-                                          pending->warpId, true);
-            if (!pending->isStore)
-                pending->ready = std::max(pending->ready, done);
-        }
-    };
+    GPUMMU_ASSERT(p->remainingWalks > 0);
+    if (--p->remainingWalks > 0)
+        return;
 
-    mmu_.requestWalks(
-        miss_vpns, warp_id, t0,
-        [pending, replay](Vpn vpn, std::uint64_t frame, Cycle fin) {
-            pending->lastWalkDone = std::max(pending->lastWalkDone, fin);
-            if (pending->overlap) {
-                // Release this page's lines as soon as its walk ends.
-                for (auto &[dvpn, vlines] : pending->deferredByVpn) {
-                    if (dvpn == vpn && !vlines.empty()) {
-                        replay(frame, vlines, fin);
-                        vlines.clear();
-                    }
-                }
-            } else {
-                // Remember the frame; all lines go after the last walk.
-                for (auto &[dvpn, vlines] : pending->deferredByVpn) {
-                    if (dvpn == vpn) {
-                        pending->deferredByFrame.emplace_back(
-                            frame, std::move(vlines));
-                        vlines.clear();
-                    }
-                }
-            }
-
-            GPUMMU_ASSERT(pending->remainingWalks > 0);
-            if (--pending->remainingWalks > 0)
-                return;
-
-            if (!pending->overlap) {
-                for (const auto &[dframe, vlines] :
-                     pending->deferredByFrame) {
-                    replay(dframe, vlines, pending->lastWalkDone);
-                }
-            }
-            const Cycle resume = pending->isStore
-                                     ? pending->lastWalkDone + 1
-                                     : std::max(pending->ready,
-                                                pending->lastWalkDone + 1);
-            pending->complete(resume);
-        });
-
-    return MemIssueResult::Issued;
+    if (!p->overlap) {
+        for (std::uint32_t gi : p->replayOrder)
+            stage->replay(*p, p->groups[gi], p->groups[gi].frame,
+                          p->lastWalkDone);
+    }
+    const Cycle resume = p->isStore
+                             ? p->lastWalkDone + 1
+                             : std::max(p->ready, p->lastWalkDone + 1);
+    const CompleteFn complete = std::move(p->complete);
+    p->complete = nullptr;
+    stage->walkPool_.release(p);
+    complete(resume);
 }
 
 MemIssueResult
@@ -292,10 +296,7 @@ MemoryStage::issueIommu(int warp_id, bool is_store,
     // (the virtual->physical bijection makes the hit/miss pattern
     // identical for the tag-level model). Translation gates only the
     // pages whose lines missed.
-    ArenaRc<IommuPending> pending = iommuArena_.createRc();
-    pending->ready = now + 1;
-    pending->complete = std::move(complete);
-
+    Cycle ready = now + 1;
     std::vector<Vpn> &missing_pages = iommuMissScratch_;
     missing_pages.clear();
     for (const auto &pg : acc.pages) {
@@ -312,8 +313,7 @@ MemoryStage::issueIommu(int warp_id, bool is_store,
             }
             noteOutcome(out, is_store);
             if (!is_store) {
-                pending->ready =
-                    std::max(pending->ready, out.readyAt);
+                ready = std::max(ready, out.readyAt);
                 if (!out.hit) {
                     page_missed = true;
                     if (sched_)
@@ -326,7 +326,7 @@ MemoryStage::issueIommu(int warp_id, bool is_store,
     }
 
     if (is_store || missing_pages.empty()) {
-        pending->complete(pending->ready);
+        complete(ready);
         return MemIssueResult::Issued;
     }
 
@@ -338,26 +338,40 @@ MemoryStage::issueIommu(int warp_id, bool is_store,
     // cannot return before the IOMMU produced a physical address
     // (plus the L2 leg it gates).
     const MemorySystemConfig mem_defaults;
-    const Cycle refetch =
-        mem_defaults.icntLatency + mem_defaults.l2HitLatency;
+    IommuPending *pending = iommuArena_.create();
+    pending->stage = this;
     pending->remaining = missing_pages.size();
+    pending->ready = ready;
+    pending->refetch = mem_defaults.icntLatency + mem_defaults.l2HitLatency;
+    pending->complete = std::move(complete);
+    // A translation may complete inside translate() (an IOMMU TLB
+    // hit), and the last one releases the descriptor: the loop below
+    // only hands it out.
+    const Iommu::DoneFn done{&MemoryStage::onIommuDone, pending};
     for (Vpn vpn : missing_pages) {
         // The span opens as the request departs the core; the gap to
         // the IOMMU's lookup stage is interconnect + port queueing.
         if (probes_.spans)
             probes_.spans->openAt(asidKey(asid_, vpn),
                                   SpanStage::IommuDepart, now, tid_);
-        iommu_->translate(
-            asidKey(asid_, vpn), now + mem_defaults.icntLatency,
-            [pending, refetch](std::uint64_t, Cycle done) {
-                pending->ready =
-                    std::max(pending->ready, done + refetch);
-                GPUMMU_ASSERT(pending->remaining > 0);
-                if (--pending->remaining == 0)
-                    pending->complete(pending->ready);
-            });
+        iommu_->translate(asidKey(asid_, vpn),
+                          now + mem_defaults.icntLatency, done);
     }
     return MemIssueResult::Issued;
+}
+
+void
+MemoryStage::onIommuDone(void *ctx, std::uint64_t, Cycle done)
+{
+    auto *p = static_cast<IommuPending *>(ctx);
+    p->ready = std::max(p->ready, done + p->refetch);
+    GPUMMU_ASSERT(p->remaining > 0);
+    if (--p->remaining > 0)
+        return;
+    const CompleteFn complete = std::move(p->complete);
+    const Cycle ready = p->ready;
+    p->stage->iommuArena_.destroy(p);
+    complete(ready);
 }
 
 void

@@ -32,6 +32,7 @@
 #include "mmu/mmu.hh"
 #include "sched/warp_scheduler.hh"
 #include "sim/arena.hh"
+#include "sim/callback.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
 #include "trace/stall_accounting.hh"
@@ -84,17 +85,35 @@ class MemoryStage
     }
 
     /**
+     * Coalesce the active lanes' virtual addresses into @p acc at
+     * this stage's translation granularity. A warp does this once per
+     * dynamic memory instruction and keeps @p acc across
+     * hit-under-miss bounces.
+     */
+    void
+    coalesce(CoalescedAccess &acc,
+             const std::vector<VirtAddr> &lane_addrs) const
+    {
+        GPUMMU_ASSERT(!lane_addrs.empty(),
+                      "memory op with no active lanes");
+        coalesceInto(acc, lane_addrs, kLineShift,
+                     mmu_.config().enabled ? mmu_.pageShift()
+                                           : kPageShift4K);
+    }
+
+    /**
      * Issue one warp memory instruction.
      *
-     * @param warp_id    hardware warp slot
-     * @param is_store   store (translation blocks, data does not)
-     * @param lane_addrs virtual addresses of the active lanes
-     * @param now        issue cycle
-     * @param complete   resume callback (sync or async)
+     * @param warp_id  hardware warp slot
+     * @param is_store store (translation blocks, data does not)
+     * @param acc      the instruction's lanes, from coalesce(); only
+     *                 read during the call
+     * @param now      issue cycle
+     * @param complete resume callback (sync or async)
      */
     MemIssueResult issue(int warp_id, bool is_store,
-                         const std::vector<VirtAddr> &lane_addrs,
-                         Cycle now, CompleteFn complete);
+                         const CoalescedAccess &acc, Cycle now,
+                         CompleteFn complete);
 
     void regStats(StatRegistry &reg, const std::string &prefix);
 
@@ -125,37 +144,62 @@ class MemoryStage
 
   private:
     /**
-     * Miss-path state of one in-flight warp memory instruction,
-     * shared by the walk-completion callbacks. Arena-pooled behind
-     * ArenaRc handles (the old make_shared churn was one control
-     * block per missing instruction).
+     * Miss-path state of one in-flight warp memory instruction, the
+     * context of its walk completions. Recycled with its vectors'
+     * capacity: the replay lines are a flat copy of the access's
+     * deferred pages, so the warp may coalesce its next instruction
+     * while this one's walks are in flight.
      */
     struct WalkPending
     {
+        /** One deferred page: lines[begin, end). */
+        struct Group
+        {
+            Vpn vpn = 0;
+            std::uint64_t frame = 0;
+            std::uint32_t begin = 0;
+            std::uint32_t end = 0;
+            /** Still waiting for its walk. */
+            bool missing = false;
+        };
+
+        MemoryStage *stage = nullptr;
         std::size_t remainingWalks = 0;
         Cycle ready = 0;
         Cycle lastWalkDone = 0;
         bool isStore = false;
         bool overlap = false;
         int warpId = -1;
-        bool tlbMissedInstr = true;
-        /** vlines to replay per missing vpn (and, without overlap,
-         *  the already-hit groups too, frame resolved eagerly). */
-        std::vector<
-            std::pair<std::uint64_t, std::vector<std::uint64_t>>>
-            deferredByFrame;
-        std::vector<std::pair<Vpn, std::vector<std::uint64_t>>>
-            deferredByVpn;
+        std::vector<std::uint64_t> lines;
+        /** Missing pages, and without overlap the hit pages too. */
+        std::vector<Group> groups;
+        /** Without overlap: groups in replay order - hit pages in
+         *  page order, then missed pages in walk-completion order. */
+        std::vector<std::uint32_t> replayOrder;
         CompleteFn complete;
     };
 
     /** IOMMU-path equivalent of WalkPending. */
     struct IommuPending
     {
+        MemoryStage *stage = nullptr;
         std::size_t remaining = 0;
         Cycle ready = 0;
+        /** L2 leg a translated miss response still takes. */
+        Cycle refetch = 0;
         CompleteFn complete;
     };
+
+    /** Mmu walk completion (ctx = WalkPending). */
+    static void onWalkDone(void *ctx, Vpn vpn, std::uint64_t frame,
+                           Cycle fin);
+
+    /** Iommu translation completion (ctx = IommuPending). */
+    static void onIommuDone(void *ctx, std::uint64_t frame, Cycle done);
+
+    /** Access @p p's deferred group @p g through @p frame at @p at. */
+    void replay(WalkPending &p, const WalkPending::Group &g,
+                std::uint64_t frame, Cycle at);
 
     /** Access one physical line, absorbing MSHR-full retries. */
     Cycle accessLine(PhysAddr pline, bool is_store, Cycle at,
@@ -180,22 +224,18 @@ class MemoryStage
     StallReason lastIssueReason_ = StallReason::None;
     Asid asid_ = 0;
 
-    /** Pools for the pending descriptors above. Walk callbacks held
-     *  by the Mmu/walkers carry ArenaRc handles into these; a
-     *  teardown with walks still in flight panics in ~Arena rather
-     *  than dangling. */
-    Arena<WalkPending> walkArena_;
+    /** Pools for the pending descriptors above; the Mmu and the
+     *  Iommu hold raw pointers into them until the last completion
+     *  (an IommuPending still live at teardown panics in ~Arena). */
+    RecyclePool<WalkPending> walkPool_;
     Arena<IommuPending> iommuArena_;
 
     /**
      * issue() scratch, reused across instructions so the per-issue
      * path performs no allocation. Safe because issue() is never
      * re-entered: completion callbacks only mark warps ready, and
-     * cores issue from tick(). Anything that outlives the call
-     * (deferred replay lines) is copied into the pending descriptor.
+     * cores issue from tick().
      */
-    CoalescedAccess accScratch_;
-    std::vector<std::vector<std::uint64_t>> spareLines_;
     Mmu::BatchResult batchScratch_;
     std::vector<Vpn> vpnScratch_;
     std::vector<Vpn> missVpnScratch_;

@@ -243,18 +243,20 @@ SimtCore::issueWarp(int wid, Cycle now)
 
       case Opcode::Load:
       case Opcode::Store: {
-        // Generate lane addresses once per dynamic instruction; a
-        // hit-under-miss bounce must not re-roll the RNG streams.
-        if (!w.hasPendingAddrs) {
-            w.pendingAddrs.clear();
+        // Generate and coalesce lane addresses once per dynamic
+        // instruction; a hit-under-miss bounce must not re-roll the
+        // RNG streams.
+        if (!w.hasAccess) {
+            laneAddrs_.clear();
             const LaneMask mask = top.mask;
             for (unsigned lane = 0; lane < kWarpWidth; ++lane) {
                 if (mask & (LaneMask(1) << lane)) {
-                    w.pendingAddrs.push_back(launch_.program->genAddr(
+                    laneAddrs_.push_back(launch_.program->genAddr(
                         in->addrGen, threadAt(w, lane)));
                 }
             }
-            w.hasPendingAddrs = true;
+            memStage_.coalesce(w.access, laneAddrs_);
+            w.hasAccess = true;
             if (memtrace_ != nullptr) {
                 // Capture at generation time (not per bounce) so the
                 // trace holds one record per dynamic instruction.
@@ -263,14 +265,13 @@ SimtCore::issueWarp(int wid, Cycle now)
                 memtrace_->recordAccess(
                     now, coreId_, blk.globalId,
                     threadAt(w, 0).warpInBlock,
-                    in->op == Opcode::Store, top.mask,
-                    w.pendingAddrs);
+                    in->op == Opcode::Store, top.mask, laneAddrs_);
             }
         }
         const bool is_store = in->op == Opcode::Store;
         w.state = WarpState::WaitingMem;
         auto result = memStage_.issue(
-            wid, is_store, w.pendingAddrs, now,
+            wid, is_store, w.access, now,
             [this, wid](Cycle ready) {
                 Warp &ww = warps_[static_cast<std::size_t>(wid)];
                 ww.state = WarpState::Ready;
@@ -293,7 +294,7 @@ SimtCore::issueWarp(int wid, Cycle now)
             return true;
         }
         instrs_.inc();
-        w.hasPendingAddrs = false;
+        w.hasAccess = false;
         ++w.stack.top().instIdx;
         // Whether the completion already fired (all-hit, readyAt in
         // the future) or is pending (miss path, WaitingMem), the wait

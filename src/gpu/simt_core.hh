@@ -146,13 +146,13 @@ class SimtCore : public ShaderCore
         WarpState state = WarpState::Invalid;
         Cycle readyAt = 0;
         /**
-         * Lane addresses generated for the current memory
-         * instruction, kept across hit-under-miss bounces so the
-         * per-thread RNG streams are consumed exactly once per
-         * dynamic instruction.
+         * The current memory instruction, coalesced once per dynamic
+         * instruction and kept across hit-under-miss bounces, so the
+         * per-thread RNG streams are consumed exactly once and a
+         * retry does not coalesce again.
          */
-        std::vector<VirtAddr> pendingAddrs;
-        bool hasPendingAddrs = false;
+        CoalescedAccess access;
+        bool hasAccess = false;
         /**
          * The open stall segment: every cycle from stallSince on is
          * charged to stallReason, in one attribute() call when the
@@ -226,6 +226,8 @@ class SimtCore : public ShaderCore
     /** tick() scratch: issuable-warp ids. Member so the per-cycle
      *  path does not allocate (tick dominates the profile). */
     std::vector<int> issuableScratch_;
+    /** issueWarp() scratch: the active lanes' addresses. */
+    std::vector<VirtAddr> laneAddrs_;
 
     /**
      * Idle counters for slept cycles. Every cycle from idleFrom_ to

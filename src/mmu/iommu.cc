@@ -43,29 +43,46 @@ Iommu::spaceFor(Asid asid)
 }
 
 void
-Iommu::issueWalk(Vpn key, Cycle at, Cycle started)
+Iommu::issueWalk(Vpn key, Cycle at)
 {
     const Asid asid = keyAsid(key);
-    AddressSpace &as = spaceFor(asid);
-    walkers_.requestBatchFor(
-        as.pageTable(), asid, {keyLocal(key)}, at,
-        [this, key, started, &as](Vpn walked, Cycle finish) {
-            auto path = as.pageTable().walk(walked);
-            const std::uint64_t frame = path.result.ppn;
-            tlb_.fill(asidKey(keyAsid(key), walked),
-                      Translation{frame, path.result.isLarge});
-            missLatency_.sample(finish - started);
-            // The owning span and every request merged behind it
-            // fill and retire at the same completion cycle.
-            if (probes_.spans)
-                probes_.spans->closeAllAt(key, SpanStage::Fill, finish);
-            auto wit = outstanding_.find(key);
-            GPUMMU_ASSERT(wit != outstanding_.end());
-            auto waiters = std::move(wit->second);
-            outstanding_.erase(wit);
-            for (auto &fn : waiters)
-                fn(frame, finish);
-        });
+    walkVpn_[0] = keyLocal(key);
+    walkers_.requestBatchFor(spaceFor(asid).pageTable(), asid, walkVpn_,
+                             at, PageWalkers::DoneFn{&Iommu::onWalkDone,
+                                                     this});
+}
+
+void
+Iommu::onWalkDone(void *ctx, Vpn walked, Asid asid, Cycle finish)
+{
+    auto *iommu = static_cast<Iommu *>(ctx);
+    const Vpn key = asidKey(asid, walked);
+    auto path = iommu->spaceFor(asid).pageTable().walk(walked);
+    const std::uint64_t frame = path.result.ppn;
+    iommu->tlb_.fill(key, Translation{frame, path.result.isLarge});
+    Outstanding entry;
+    std::size_t batch = 0;
+    const bool found = iommu->outstanding_.close(key, entry, batch);
+    GPUMMU_ASSERT(found, "IOMMU walk completion for unknown key ", key);
+    iommu->missLatency_.sample(finish - entry.started);
+    // The owning span and every request merged behind it fill and
+    // retire at the same completion cycle.
+    if (iommu->probes_.spans)
+        iommu->probes_.spans->closeAllAt(key, SpanStage::Fill, finish);
+    iommu->outstanding_.fire(batch, [&](const DoneFn &fn) {
+        fn(frame, finish);
+    });
+}
+
+void
+Iommu::onFaultServiced(void *ctx, Cycle now)
+{
+    auto *ev = static_cast<FaultRetry *>(ctx);
+    Iommu *iommu = ev->iommu;
+    const Vpn key = ev->key;
+    iommu->faultArena_.destroy(ev);
+    iommu->spaceFor(keyAsid(key)).faultIn(keyLocal(key));
+    iommu->issueWalk(key, now);
 }
 
 void
@@ -91,17 +108,17 @@ Iommu::translate(Vpn key, Cycle now, DoneFn done)
         return;
     }
 
-    auto it = outstanding_.find(key);
-    if (it != outstanding_.end()) {
+    if (outstanding_.find(key) != nullptr) {
         mergedWalks_.inc();
         // Beside the merge counter: IommuMerge-stage span count ==
         // iommu merged_walks (conservation check).
         if (probes_.spans)
             probes_.spans->stageAt(key, SpanStage::IommuMerge, start);
-        it->second.push_back(std::move(done));
+        outstanding_.wait(key, done);
         return;
     }
-    outstanding_[key].push_back(std::move(done));
+    outstanding_.open(Outstanding{key, now});
+    outstanding_.wait(key, done);
 
     const Asid asid = keyAsid(key);
     const Vpn vpn = keyLocal(key);
@@ -109,23 +126,22 @@ Iommu::translate(Vpn key, Cycle now, DoneFn done)
     if (pm_ != nullptr && !as.pageTable().translate(vpn)) {
         // Minor fault: the page is reserved but not yet backed. The
         // OS handler runs for faultLatency cycles, faults the page
-        // in, and the walk retries against the now-mapped PTE.
+        // in, and the walk then retries against the now-mapped PTE.
         GPUMMU_ASSERT(as.isReserved(vpn),
                       "IOMMU access to unreserved VPN ", vpn,
                       " (asid ", asid, ")");
         pm_->noteFault(asid);
         if (probes_.spans)
             probes_.spans->stageAt(key, SpanStage::IommuFault, looked_up);
-        const Cycle serviced =
-            looked_up + pm_->osConfig().faultLatency;
-        eq_.schedule(serviced, [this, key, now, serviced, &as]() {
-            as.faultIn(keyLocal(key));
-            issueWalk(key, serviced, now);
-        });
+        FaultRetry *ev = faultArena_.create();
+        ev->iommu = this;
+        ev->key = key;
+        eq_.scheduleRaw(looked_up + pm_->osConfig().faultLatency,
+                        &Iommu::onFaultServiced, ev);
         return;
     }
 
-    issueWalk(key, looked_up, now);
+    issueWalk(key, looked_up);
 }
 
 void

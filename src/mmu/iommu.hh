@@ -18,8 +18,7 @@
 #ifndef MMU_IOMMU_HH
 #define MMU_IOMMU_HH
 
-#include <functional>
-#include <map>
+#include <concepts>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,6 +26,8 @@
 #include "check/invariant_checker.hh"
 #include "mmu/ptw.hh"
 #include "mmu/tlb.hh"
+#include "sim/arena.hh"
+#include "sim/callback.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
 #include "vm/address_space.hh"
@@ -55,8 +56,9 @@ class ProcessManager;
 class Iommu
 {
   public:
-    /** (frame base in 4KB pages, cycle the translation is ready). */
-    using DoneFn = std::function<void(std::uint64_t, Cycle)>;
+    /** Completion record of one translate() request: (frame base in
+     *  4KB pages, cycle the translation is ready). */
+    using DoneFn = RawCallback<std::uint64_t, Cycle>;
 
     Iommu(const IommuConfig &cfg, AddressSpace &as, MemorySystem &mem,
           EventQueue &eq);
@@ -72,6 +74,15 @@ class Iommu
      * the walk then proceeds (the retry).
      */
     void translate(Vpn key, Cycle now, DoneFn done);
+
+    /** Callable form: @p done takes DoneFn's arguments. */
+    template <NotRaw<DoneFn> F>
+        requires std::invocable<F &, std::uint64_t, Cycle>
+    void
+    translate(Vpn key, Cycle now, F &&done)
+    {
+        translate(key, now, callables_.bind(std::forward<F>(done), 1));
+    }
 
     /**
      * Enter multi-process mode: translate() keys may carry any ASID
@@ -118,7 +129,28 @@ class Iommu
     AddressSpace &spaceFor(Asid asid);
 
     /** Issue the page walk for @p key (post-lookup, post-fault). */
-    void issueWalk(Vpn key, Cycle at, Cycle started);
+    void issueWalk(Vpn key, Cycle at);
+
+    /** Walk-pool completion (ctx = this). */
+    static void onWalkDone(void *ctx, Vpn vpn, Asid asid, Cycle finish);
+
+    /** A minor fault's service time has elapsed (ctx = FaultRetry). */
+    static void onFaultServiced(void *ctx, Cycle now);
+
+    /** One key being translated. */
+    struct Outstanding
+    {
+        Vpn key = 0;
+        /** Cycle translate() saw the miss (miss-latency sample). */
+        Cycle started = 0;
+    };
+
+    /** Arena-pooled minor-fault retry event payload. */
+    struct FaultRetry
+    {
+        Iommu *iommu = nullptr;
+        Vpn key = 0;
+    };
 
     IommuConfig cfg_;
     AddressSpace &as_;
@@ -132,7 +164,11 @@ class Iommu
     Cycle portFreeAt_ = 0;
 
     /** Waiters for in-flight walks, merged per composed key. */
-    std::map<Vpn, std::vector<DoneFn>> outstanding_;
+    WaitTable<Outstanding, DoneFn> outstanding_;
+    CallableRecords<std::uint64_t, Cycle> callables_;
+    Arena<FaultRetry> faultArena_;
+    /** issueWalk() scratch: the one VPN of a walk request. */
+    std::vector<Vpn> walkVpn_ = std::vector<Vpn>(1);
 
     Counter mergedWalks_;
     Histogram missLatency_;

@@ -17,6 +17,7 @@ L2Tlb::L2Tlb(const L2TlbConfig &cfg, const PageTable &pt,
     GPUMMU_ASSERT(cfg.mshrs >= 1);
     GPUMMU_ASSERT(cfg.lookupInterval >= 1);
     portFreeAt_.assign(cfg.ports, 0);
+    mshrs_.reserve(cfg.mshrs);
     if (cfg_.checkInvariants)
         checker_ = std::make_unique<InvariantChecker>(pt);
 }
@@ -59,7 +60,7 @@ L2Tlb::access(Vpn tag, Cycle now, WakeFn done)
         ev->tag = tag;
         ev->t = *res.payload;
         ev->ready = ready;
-        ev->done = std::move(done);
+        ev->done = done;
         eq_.scheduleRaw(ready, &L2Tlb::fireHitWake, ev);
         return AccessResult{Outcome::Hit, ready};
     }
@@ -68,8 +69,7 @@ L2Tlb::access(Vpn tag, Cycle now, WakeFn done)
         probes_.trace->instantAt(TraceCat::L2Tlb, "l2tlb_miss", tid_,
                                  issue, "vpn", tag);
 
-    auto mshr = mshrs_.find(tag);
-    if (mshr != mshrs_.end()) {
+    if (mshrs_.find(tag) != nullptr) {
         // Another core already walks this VPN; its fill wakes us.
         mshrMerges_.inc();
         if (checker_)
@@ -80,7 +80,7 @@ L2Tlb::access(Vpn tag, Cycle now, WakeFn done)
         // Beside the merge counter: merged-span count == mshr_merges.
         if (probes_.spans)
             probes_.spans->stageAt(tag, SpanStage::L2Merge, issue);
-        mshr->second.push_back(std::move(done));
+        mshrs_.wait(tag, done);
         return AccessResult{Outcome::Merged, ready};
     }
 
@@ -106,7 +106,8 @@ L2Tlb::access(Vpn tag, Cycle now, WakeFn done)
     }
     if (probes_.spans)
         probes_.spans->stageAt(tag, SpanStage::L2NeedWalk, issue);
-    mshrs_[tag].push_back(std::move(done));
+    mshrs_.open(Mshr{tag, false});
+    mshrs_.wait(tag, done);
     return AccessResult{Outcome::NeedWalk, ready};
 }
 
@@ -121,7 +122,7 @@ L2Tlb::fireHitWake(void *ctx, Cycle now)
     const Vpn tag = ev->tag;
     const Translation t = ev->t;
     const Cycle ready = ev->ready;
-    WakeFn done = std::move(ev->done);
+    const WakeFn done = ev->done;
     tlb->hitArena_.destroy(ev);
     done(tag, t.ppn, t.isLarge, ready);
 }
@@ -162,26 +163,24 @@ L2Tlb::fill(Vpn tag, const Translation &t, Cycle ready)
     // the tag: the walk read the page table while the mapping was
     // live, so its waiters are still woken (their access predates the
     // unmap), but the now-stale translation must not be installed.
-    const bool poisoned = poisoned_.erase(tag) != 0;
-    if (!poisoned)
+    Mshr mshr;
+    std::size_t batch = 0;
+    const bool found = mshrs_.close(tag, mshr, batch);
+    GPUMMU_ASSERT(found, "L2 TLB fill for VPN ", tag, " without an MSHR");
+    if (!mshr.poisoned)
         install(tag, t);
-    auto it = mshrs_.find(tag);
-    GPUMMU_ASSERT(it != mshrs_.end(),
-                  "L2 TLB fill for VPN ", tag, " without an MSHR");
-    auto waiters = std::move(it->second);
-    mshrs_.erase(it);
-    wakeupsPerFill_.sample(waiters.size());
+    wakeupsPerFill_.sample(mshrs_.batchSize(batch));
     if (probes_.trace)
         probes_.trace->counter(TraceCat::L2Tlb, "mshrs_active", tid_,
                                mshrs_.size());
-    for (auto &fn : waiters) {
+    mshrs_.fire(batch, [&](const WakeFn &fn) {
         if (checker_)
             checker_->onMshrWake(tag);
         if (probes_.trace)
             probes_.trace->instant(TraceCat::L2Tlb, "mshr_wake", tid_,
                                    "vpn", tag);
         fn(tag, t.ppn, t.isLarge, ready);
-    }
+    });
 }
 
 void
@@ -229,12 +228,19 @@ L2Tlb::invalidateMatching(const std::function<bool(std::uint64_t)> &pred)
         if (onEvict_)
             onEvict_(v.tag);
     }
-    for (const auto &[tag, waiters] : mshrs_) {
-        (void)waiters;
-        if (pred(tag))
-            poisoned_.insert(tag);
-    }
+    mshrs_.forEach([&pred](Mshr &m) {
+        if (pred(m.key))
+            m.poisoned = true;
+    });
     return victims.size();
+}
+
+std::size_t
+L2Tlb::poisonedMshrs() const
+{
+    std::size_t n = 0;
+    mshrs_.forEach([&n](const Mshr &m) { n += m.poisoned; });
+    return n;
 }
 
 void
@@ -249,13 +255,15 @@ L2Tlb::checkEndOfKernel() const
 {
     if (!checker_)
         return;
-    GPUMMU_ASSERT(poisoned_.empty(), poisoned_.size(),
-                  " poisoned MSHR tags never filled (first ",
-                  poisoned_.empty() ? 0 : *poisoned_.begin(), ")");
+    Vpn first = ~Vpn{0};
+    mshrs_.forEach([&first](const Mshr &m) {
+        first = std::min(first, m.key);
+    });
+    GPUMMU_ASSERT(poisonedMshrs() == 0, poisonedMshrs(),
+                  " poisoned MSHR tags never filled");
     GPUMMU_ASSERT(mshrs_.empty(), mshrs_.size(),
                   " translation MSHRs still live at kernel end "
-                  "(first VPN ",
-                  mshrs_.empty() ? 0 : mshrs_.begin()->first, ")");
+                  "(first VPN ", first, ")");
     checker_->checkMshrsDrained();
     checker_->beginTlbSweep();
     array_.forEach([this](std::size_t set, std::uint64_t tag,

@@ -28,17 +28,17 @@
 #ifndef MMU_L2_TLB_HH
 #define MMU_L2_TLB_HH
 
+#include <concepts>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "check/invariant_checker.hh"
 #include "mem/set_assoc.hh"
 #include "sim/arena.hh"
+#include "sim/callback.hh"
 #include "sim/event_queue.hh"
 #include "sim/probes.hh"
 #include "sim/stats.hh"
@@ -88,7 +88,7 @@ class L2Tlb
     };
 
     /** Wakeup: (tag, frame base in page units, large flag, cycle). */
-    using WakeFn = std::function<void(Vpn, std::uint64_t, bool, Cycle)>;
+    using WakeFn = RawCallback<Vpn, std::uint64_t, bool, Cycle>;
 
     /**
      * @param page_shift translation granularity of the run (12 or
@@ -107,6 +107,19 @@ class L2Tlb
      */
     AccessResult access(Vpn tag, Cycle now, WakeFn done);
 
+    /** Callable form of access(): @p done takes WakeFn's arguments. */
+    template <NotRaw<WakeFn> F>
+        requires std::invocable<F &, Vpn, std::uint64_t, bool, Cycle>
+    AccessResult
+    access(Vpn tag, Cycle now, F &&done)
+    {
+        const WakeFn raw = callables_.bind(std::forward<F>(done), 1);
+        const AccessResult res = access(tag, now, raw);
+        if (res.outcome == Outcome::Bypass)
+            callables_.discard(raw); // a bypass registers no waiter
+        return res;
+    }
+
     /**
      * Walk completion for a NeedWalk outcome: install the
      * translation, retire the MSHR and wake every waiter at
@@ -124,7 +137,7 @@ class L2Tlb
     bool probe(Vpn tag) const { return array_.peek(tag) != nullptr; }
 
     /** Is a walk for @p tag in flight behind an MSHR? */
-    bool mshrActive(Vpn tag) const { return mshrs_.count(tag) != 0; }
+    bool mshrActive(Vpn tag) const { return mshrs_.find(tag) != nullptr; }
 
     std::size_t mshrsInUse() const { return mshrs_.size(); }
 
@@ -144,7 +157,7 @@ class L2Tlb
         const std::function<bool(std::uint64_t)> &pred);
 
     /** Tags poisoned by a shootdown whose fill has not landed yet. */
-    std::size_t poisonedMshrs() const { return poisoned_.size(); }
+    std::size_t poisonedMshrs() const;
 
     /**
      * Register another process's page table with the armed checker
@@ -215,6 +228,15 @@ class L2Tlb
         WakeFn done;
     };
 
+    /** One translation MSHR. */
+    struct Mshr
+    {
+        Vpn key = 0;
+        /** Hit by a shootdown mid-walk: fill() wakes but does not
+         *  install. */
+        bool poisoned = false;
+    };
+
     static void fireHitWake(void *ctx, Cycle now);
 
     L2TlbConfig cfg_;
@@ -226,13 +248,10 @@ class L2Tlb
     SetAssocArray<Translation> array_;
     std::vector<Cycle> portFreeAt_;
 
-    /** In-flight translation MSHRs: tag -> wakeup list. The first
-     *  waiter's Mmu owns the walk. */
-    std::map<Vpn, std::vector<WakeFn>> mshrs_;
-
-    /** MSHR tags hit by a shootdown mid-walk: fill() wakes but does
-     *  not install. std::set for deterministic iteration. */
-    std::set<Vpn> poisoned_;
+    /** In-flight translation MSHRs and their wakeup lists, at most
+     *  cfg_.mshrs. The first waiter's Mmu owns the walk. */
+    WaitTable<Mshr, WakeFn> mshrs_;
+    CallableRecords<Vpn, std::uint64_t, bool, Cycle> callables_;
 
     EvictionListener onEvict_;
     Probes probes_;

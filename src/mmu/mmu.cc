@@ -1,5 +1,7 @@
 #include "mmu/mmu.hh"
 
+#include <algorithm>
+
 #include "mmu/l2_tlb.hh"
 #include "sim/logging.hh"
 #include "telemetry/span.hh"
@@ -19,6 +21,7 @@ Mmu::Mmu(const MmuConfig &cfg, AddressSpace &as, MemorySystem &mem,
         tlb_.setChecker(checker_.get(), pageShift_);
         walkers_.setChecker(checker_.get());
     }
+    outstanding_.reserve(cfg_.mshrs);
 }
 
 PhysAddr
@@ -140,23 +143,18 @@ Mmu::probeTlb(Vpn vpn) const
 
 void
 Mmu::finishWalk(Vpn tag, std::uint64_t frame_base, bool is_large,
-                int warp_id, Cycle finish)
+                Cycle finish)
 {
+    Outstanding entry;
+    std::size_t batch = 0;
+    const bool found = outstanding_.close(tag, entry, batch);
+    GPUMMU_ASSERT(found, "walk completion for unknown VPN");
     tlb_.fill(asidKey(asid_, tag), Translation{frame_base, is_large},
-              warp_id);
-
-    auto it = outstanding_.find(tag);
-    GPUMMU_ASSERT(it != outstanding_.end(),
-                  "walk completion for unknown VPN");
-    auto waiters = std::move(it->second);
-    outstanding_.erase(it);
+              entry.warp);
     if (outstanding_.empty() && missListener_)
         missListener_();
 
-    auto start_it = missStart_.find(tag);
-    GPUMMU_ASSERT(start_it != missStart_.end());
-    missLatency_.sample(finish - start_it->second);
-    missStart_.erase(start_it);
+    missLatency_.sample(finish - entry.start);
 
     // Every span that missed on this page - the walk owner plus each
     // merged requester - fills and retires at the same ready cycle.
@@ -164,52 +162,68 @@ Mmu::finishWalk(Vpn tag, std::uint64_t frame_base, bool is_large,
         probes_.spans->closeAllAt(asidKey(asid_, tag), SpanStage::Fill,
                                   finish);
 
-    for (auto &fn : waiters)
+    outstanding_.fire(batch, [&](const WalkDoneFn &fn) {
         fn(tag, frame_base, finish);
+    });
 
     if (outstanding_.empty() && !drainWaiters_.empty()) {
-        auto drained = std::move(drainWaiters_);
-        drainWaiters_.clear();
-        for (auto &fn : drained)
+        // Waiters registered while these run wait for the next drain.
+        const std::size_t n = drainWaiters_.size();
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::function<void()> fn = std::move(drainWaiters_[i]);
             fn();
+        }
+        drainWaiters_.erase(drainWaiters_.begin(),
+                            drainWaiters_.begin() +
+                                static_cast<std::ptrdiff_t>(n));
     }
 }
 
 void
-Mmu::issueWalks(const std::vector<Vpn> &tags, int warp_id, Cycle at,
-                ArenaRc<BypassTags> bypass_tags)
+Mmu::onWalkDone(void *ctx, Vpn vpn4k, Asid, Cycle finish)
+{
+    auto *mmu = static_cast<Mmu *>(ctx);
+    const Vpn tag = vpn4k >> (mmu->pageShift_ - kPageShift4K);
+    auto [frame_base, is_large] = mmu->resolveWalk(vpn4k);
+    L2Tlb *l2 = mmu->l2_;
+    if (l2 == nullptr) {
+        mmu->finishWalk(tag, frame_base, is_large, finish);
+        return;
+    }
+    const Outstanding *entry = mmu->outstanding_.find(tag);
+    GPUMMU_ASSERT(entry != nullptr, "walk completion for unknown VPN");
+    const Vpn key = asidKey(mmu->asid_, tag);
+    if (entry->bypass) {
+        // Walked uncovered (MSHR file was full): install the result
+        // for later requesters, complete ourselves.
+        l2->fillBypass(key, Translation{frame_base, is_large}, finish);
+        mmu->finishWalk(tag, frame_base, is_large, finish);
+    } else {
+        // The fill wakes every core merged behind the MSHR, including
+        // this one (its wakeup runs finishWalk).
+        l2->fill(key, Translation{frame_base, is_large}, finish);
+    }
+}
+
+void
+Mmu::onL2Wake(void *ctx, Vpn key, std::uint64_t frame_base,
+              bool is_large, Cycle ready)
+{
+    static_cast<Mmu *>(ctx)->finishWalk(keyLocal(key), frame_base,
+                                        is_large, ready);
+}
+
+void
+Mmu::issueWalks(const std::vector<Vpn> &tags, Cycle at)
 {
     // The walkers operate on 4KB-granularity VPNs; in large-page mode
     // the TLB tag is the 2MB VPN, so expand before walking.
-    std::vector<Vpn> walk_vpns;
-    walk_vpns.reserve(tags.size());
+    walkVpns_.clear();
     const unsigned expand = pageShift_ - kPageShift4K;
     for (Vpn tag : tags)
-        walk_vpns.push_back(tag << expand);
-
-    walkers_.requestBatchFor(
-        as_.pageTable(), asid_, walk_vpns, at,
-        [this, warp_id,
-         bypass_tags = std::move(bypass_tags)](Vpn vpn4k,
-                                               Cycle finish) {
-            const Vpn tag = vpn4k >> (pageShift_ - kPageShift4K);
-            auto [frame_base, is_large] = resolveWalk(vpn4k);
-            if (l2_ == nullptr) {
-                finishWalk(tag, frame_base, is_large, warp_id, finish);
-            } else if (bypass_tags && bypass_tags->contains(tag)) {
-                // Walked uncovered (MSHR file was full): install the
-                // result for later requesters, complete ourselves.
-                l2_->fillBypass(asidKey(asid_, tag),
-                                Translation{frame_base, is_large},
-                                finish);
-                finishWalk(tag, frame_base, is_large, warp_id, finish);
-            } else {
-                // The fill wakes every core merged behind the MSHR,
-                // including this one (its wakeup runs finishWalk).
-                l2_->fill(asidKey(asid_, tag),
-                          Translation{frame_base, is_large}, finish);
-            }
-        });
+        walkVpns_.push_back(tag << expand);
+    walkers_.requestBatchFor(as_.pageTable(), asid_, walkVpns_, at,
+                             PageWalkers::DoneFn{&Mmu::onWalkDone, this});
 }
 
 void
@@ -218,11 +232,9 @@ Mmu::requestWalks(const std::vector<Vpn> &vpns, int warp_id, Cycle now,
 {
     GPUMMU_ASSERT(cfg_.enabled);
     const bool was_idle = outstanding_.empty();
-    std::vector<Vpn> to_walk;
-    to_walk.reserve(vpns.size());
+    toWalk_.clear();
     for (Vpn vpn : vpns) {
-        auto it = outstanding_.find(vpn);
-        if (it != outstanding_.end()) {
+        if (outstanding_.find(vpn) != nullptr) {
             // Another thread/warp already walks this page; piggyback.
             mergedWalks_.inc();
             // Beside the merge counter: MmuMerge-stage span count ==
@@ -230,20 +242,20 @@ Mmu::requestWalks(const std::vector<Vpn> &vpns, int warp_id, Cycle now,
             if (probes_.spans)
                 probes_.spans->stageAt(asidKey(asid_, vpn),
                                        SpanStage::MmuMerge, now);
-            it->second.push_back(done);
+            outstanding_.wait(vpn, done);
             continue;
         }
-        outstanding_[vpn].push_back(done);
-        missStart_[vpn] = now;
-        to_walk.push_back(vpn);
+        outstanding_.open(Outstanding{vpn, now, warp_id, false});
+        outstanding_.wait(vpn, done);
+        toWalk_.push_back(vpn);
     }
-    if (to_walk.empty())
+    if (toWalk_.empty())
         return;
     if (was_idle && missListener_)
         missListener_();
 
     if (l2_ == nullptr) {
-        issueWalks(to_walk, warp_id, now, {});
+        issueWalks(toWalk_, now);
         return;
     }
 
@@ -251,34 +263,27 @@ Mmu::requestWalks(const std::vector<Vpn> &vpns, int warp_id, Cycle now,
     // cores' in-flight walks complete without touching this core's
     // walkers; the rest walk in one batch once the slowest lookup
     // has resolved (the L2 arbitrates its ports across cores).
-    std::vector<Vpn> need_walk;
-    ArenaRc<BypassTags> bypass_tags;
+    needWalk_.clear();
     Cycle walk_at = now;
-    for (Vpn tag : to_walk) {
-        auto res = l2_->access(
-            asidKey(asid_, tag), now,
-            [this, warp_id](Vpn t, std::uint64_t frame, bool large,
-                            Cycle ready) {
-                finishWalk(keyLocal(t), frame, large, warp_id, ready);
-            });
+    for (Vpn tag : toWalk_) {
+        auto res = l2_->access(asidKey(asid_, tag), now,
+                               L2Tlb::WakeFn{&Mmu::onL2Wake, this});
         switch (res.outcome) {
           case L2Tlb::Outcome::Hit:
           case L2Tlb::Outcome::Merged:
             l2Satisfied_.inc();
             break;
           case L2Tlb::Outcome::Bypass:
-            if (!bypass_tags)
-                bypass_tags = bypassArena_.createRc();
-            bypass_tags->insert(tag);
+            outstanding_.find(tag)->bypass = true;
             [[fallthrough]];
           case L2Tlb::Outcome::NeedWalk:
-            need_walk.push_back(tag);
+            needWalk_.push_back(tag);
             walk_at = std::max(walk_at, res.ready);
             break;
         }
     }
-    if (!need_walk.empty())
-        issueWalks(need_walk, warp_id, walk_at, std::move(bypass_tags));
+    if (!needWalk_.empty())
+        issueWalks(needWalk_, walk_at);
 }
 
 void
@@ -297,8 +302,6 @@ Mmu::checkEndOfKernel() const
         return;
     GPUMMU_ASSERT(outstanding_.empty(), outstanding_.size(),
                   " VPNs still outstanding in the MMU at kernel end");
-    GPUMMU_ASSERT(missStart_.empty(),
-                  "miss-start timestamps leaked past kernel end");
     GPUMMU_ASSERT(drainWaiters_.empty(), drainWaiters_.size(),
                   " warps still blocked on a TLB drain at kernel end");
     walkers_.checkDrained();

@@ -21,12 +21,10 @@
 #ifndef MMU_MMU_HH
 #define MMU_MMU_HH
 
-#include <algorithm>
+#include <concepts>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,7 +33,7 @@
 #include "mmu/cacti_model.hh"
 #include "mmu/ptw.hh"
 #include "mmu/tlb.hh"
-#include "sim/arena.hh"
+#include "sim/callback.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
 #include "vm/address_space.hh"
@@ -101,9 +99,9 @@ class Mmu
         bool allHit = true;
     };
 
-    /** (vpn, frame base in pageSize units, completion cycle). */
-    using WalkDoneFn =
-        std::function<void(Vpn, std::uint64_t, Cycle)>;
+    /** Completion record of one requestWalks() call, fired once per
+     *  VPN: (vpn, frame base in pageSize units, completion cycle). */
+    using WalkDoneFn = RawCallback<Vpn, std::uint64_t, Cycle>;
 
     Mmu(const MmuConfig &cfg, AddressSpace &as, MemorySystem &mem,
         EventQueue &eq);
@@ -165,6 +163,19 @@ class Mmu
      */
     void requestWalks(const std::vector<Vpn> &vpns, int warp_id,
                       Cycle now, WalkDoneFn done);
+
+    /** Callable form: @p done takes WalkDoneFn's arguments. */
+    template <NotRaw<WalkDoneFn> F>
+        requires std::invocable<F &, Vpn, std::uint64_t, Cycle>
+    void
+    requestWalks(const std::vector<Vpn> &vpns, int warp_id, Cycle now,
+                 F &&done)
+    {
+        requestWalks(vpns, warp_id, now,
+                     vpns.empty() ? WalkDoneFn{}
+                                  : callables_.bind(std::forward<F>(done),
+                                                    vpns.size()));
+    }
 
     /**
      * Register a one-shot callback fired when the last outstanding
@@ -269,36 +280,33 @@ class Mmu
      * entry, sample the miss latency and fire the waiters.
      */
     void finishWalk(Vpn tag, std::uint64_t frame_base, bool is_large,
-                    int warp_id, Cycle finish);
+                    Cycle finish);
 
     /** Functional walk of @p vpn4k -> (frame base in page units,
      *  large flag), asserting granularity agreement. */
     std::pair<std::uint64_t, bool> resolveWalk(Vpn vpn4k);
 
-    /**
-     * Tags of one miss batch that must bypass the shared L2 TLB's
-     * MSHR file (it was full). Tiny set, one per miss batch whose
-     * walks go to the walkers; arena-pooled so the shared-L2 miss
-     * path performs no shared_ptr control-block allocation.
-     */
-    struct BypassTags
+    /** Walk-pool completion (ctx = this). */
+    static void onWalkDone(void *ctx, Vpn vpn4k, Asid asid, Cycle finish);
+
+    /** Shared L2 TLB wakeup (ctx = this). */
+    static void onL2Wake(void *ctx, Vpn key, std::uint64_t frame_base,
+                         bool is_large, Cycle ready);
+
+    /** Issue walker-pool walks for @p tags (page-granularity). */
+    void issueWalks(const std::vector<Vpn> &tags, Cycle at);
+
+    /** One VPN being translated. */
+    struct Outstanding
     {
-        std::vector<Vpn> tags;
-
-        void insert(Vpn v) { tags.push_back(v); }
-
-        bool
-        contains(Vpn v) const
-        {
-            return std::find(tags.begin(), tags.end(), v) !=
-                   tags.end();
-        }
+        Vpn key = 0;
+        /** Cycle the miss started (miss-latency sample). */
+        Cycle start = 0;
+        /** Warp whose miss opened the entry (owns the TLB fill). */
+        int warp = -1;
+        /** Walked uncovered: the shared L2's MSHR file was full. */
+        bool bypass = false;
     };
-
-    /** Issue walker-pool walks for @p tags (page-granularity), with
-     *  completions routed through the L2 TLB when attached. */
-    void issueWalks(const std::vector<Vpn> &tags, int warp_id,
-                    Cycle at, ArenaRc<BypassTags> bypass_tags);
 
     MmuConfig cfg_;
     AddressSpace &as_;
@@ -307,19 +315,24 @@ class Mmu
      *  (identity for the legacy single-process ASID 0). */
     Asid asid_;
     std::unique_ptr<InvariantChecker> checker_;
-    /** Declared before walkers_: walk callbacks hold ArenaRc handles
-     *  into it, so it must be destroyed after them. */
-    Arena<BypassTags> bypassArena_;
     Tlb tlb_;
     PageWalkers walkers_;
     L2Tlb *l2_ = nullptr;
     Probes probes_;
 
-    /** VPN -> waiters, for merging concurrent walks to one page. */
-    std::map<Vpn, std::vector<WalkDoneFn>> outstanding_;
-    std::map<Vpn, Cycle> missStart_;
+    /**
+     * VPNs in translation and their waiters, for merging concurrent
+     * walks to one page. At most cfg_.mshrs entries: no
+     * miss-under-miss means only one warp's miss set is in flight.
+     */
+    WaitTable<Outstanding, WalkDoneFn> outstanding_;
+    CallableRecords<Vpn, std::uint64_t, Cycle> callables_;
     std::vector<std::function<void()>> drainWaiters_;
     std::function<void()> missListener_;
+    /** requestWalks() scratch. */
+    std::vector<Vpn> toWalk_;
+    std::vector<Vpn> needWalk_;
+    std::vector<Vpn> walkVpns_;
 
     Counter mergedWalks_;
     Counter shootdowns_;

@@ -1,7 +1,6 @@
 #include "mmu/ptw.hh"
 
 #include <algorithm>
-#include <map>
 
 #include "check/invariant_checker.hh"
 #include "mem/request.hh"
@@ -21,6 +20,11 @@ PageWalkers::PageWalkers(const PtwConfig &cfg, const PageTable &pt,
 {
     GPUMMU_ASSERT(cfg.numWalkers >= 1);
     walkerBusy_.assign(cfg.scheduling ? 1 : cfg.numWalkers, false);
+    walkerBatch_.resize(walkerBusy_.size());
+    for (unsigned w = 0; w < walkerBatch_.size(); ++w) {
+        walkerBatch_[w].pool = this;
+        walkerBatch_[w].walker = w;
+    }
 }
 
 Cycle
@@ -68,13 +72,6 @@ PageWalkers::walkRef(PhysAddr line_addr, unsigned level, Cycle at)
 }
 
 void
-PageWalkers::requestBatch(const std::vector<Vpn> &vpns, Cycle now,
-                          DoneFn done)
-{
-    requestBatchFor(pt_, 0, vpns, now, std::move(done));
-}
-
-void
 PageWalkers::requestBatchFor(const PageTable &pt, Asid asid,
                              const std::vector<Vpn> &vpns, Cycle now,
                              DoneFn done)
@@ -93,6 +90,24 @@ PageWalkers::requestBatchFor(const PageTable &pt, Asid asid,
     pump(now);
 }
 
+PageWalkers::PendingWalk
+PageWalkers::popQueued()
+{
+    GPUMMU_ASSERT(queued() > 0);
+    const PendingWalk walk = queue_[queueHead_++];
+    if (queueHead_ == queue_.size()) {
+        queue_.clear();
+        queueHead_ = 0;
+    } else if (queueHead_ >= 64 && 2 * queueHead_ >= queue_.size()) {
+        // A long-lived backlog: drop the consumed prefix in bulk.
+        queue_.erase(queue_.begin(),
+                     queue_.begin() +
+                         static_cast<std::ptrdiff_t>(queueHead_));
+        queueHead_ = 0;
+    }
+    return walk;
+}
+
 std::size_t
 PageWalkers::invalidatePagingLines(const PageTable &pt)
 {
@@ -108,7 +123,7 @@ void
 PageWalkers::pump(Cycle now)
 {
     for (unsigned w = 0; w < walkerBusy_.size(); ++w) {
-        if (queue_.empty())
+        if (queued() == 0)
             return;
         if (walkerBusy_[w])
             continue;
@@ -122,115 +137,121 @@ PageWalkers::pump(Cycle now)
 void
 PageWalkers::startNaive(unsigned w, Cycle now)
 {
-    GPUMMU_ASSERT(!queue_.empty());
-    ActiveBatch *batch = batchArena_.create();
-    batch->pool = this;
-    PendingWalk walk = std::move(queue_.front());
-    queue_.pop_front();
+    ActiveBatch &batch = walkerBatch_[w];
+    batch.clear();
+    batch.walks.push_back(popQueued());
+    const PendingWalk &walk = batch.walks.back();
     const WalkPath path = walk.pt->walk(walk.vpn);
     for (unsigned level = 0; level < path.levels; ++level) {
         BatchRef ref;
         ref.line = lineAddrOf(path.entryAddrs[level]);
-        if (level + 1 == path.levels)
-            ref.finishing.push_back(0);
-        batch->levels.push_back({std::move(ref)});
+        if (level + 1 == path.levels) {
+            ref.finBegin = static_cast<std::uint32_t>(batch.finishers.size());
+            batch.finishers.push_back(0);
+            ref.finEnd = ref.finBegin + 1;
+        }
+        batch.refs.push_back(ref);
+        batch.levelEnd.push_back(static_cast<std::uint32_t>(batch.refs.size()));
     }
-    batch->walks.push_back(std::move(walk));
     ++inFlight_;
     if (probes_.trace) {
         probes_.trace->instantAt(TraceCat::Ptw, "walk_grant", tid_, now,
-                                 "vpn", batch->walks.back().vpn, "walker", w);
+                                 "vpn", walk.vpn, "walker", w);
         probes_.trace->counter(TraceCat::Ptw, "walks_in_flight", tid_,
                                inFlight_);
     }
     // Enqueue -> grant is the walker-queueing portion of the span.
     if (probes_.spans) {
-        const PendingWalk &walk = batch->walks.back();
         probes_.spans->stageAt(asidKey(walk.asid, walk.vpn >> spanKeyShift_),
                                SpanStage::WalkGrant, now);
     }
     walkerBusy_[w] = true;
-    stepLevel(w, batch, now);
+    stepLevel(&batch, now);
 }
 
 void
 PageWalkers::startScheduledBatch(unsigned w, Cycle now)
 {
-    GPUMMU_ASSERT(!queue_.empty());
+    GPUMMU_ASSERT(queued() > 0);
     batches_.inc();
-    ActiveBatch *batch = batchArena_.create();
-    batch->pool = this;
+    ActiveBatch &batch = walkerBatch_[w];
+    batch.clear();
 
     // Snapshot every queued walk into this batch (the MSHR scan).
-    std::vector<WalkPath> paths;
-    while (!queue_.empty()) {
-        batch->walks.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-        const PendingWalk &walk = batch->walks.back();
-        paths.push_back(walk.pt->walk(walk.vpn));
+    while (queued() > 0) {
+        batch.walks.push_back(popQueued());
+        const PendingWalk &walk = batch.walks.back();
+        batch.paths.push_back(walk.pt->walk(walk.vpn));
     }
-    inFlight_ += static_cast<unsigned>(batch->walks.size());
+    inFlight_ += static_cast<unsigned>(batch.walks.size());
     if (probes_.trace) {
-        for (const PendingWalk &walk : batch->walks)
+        for (const PendingWalk &walk : batch.walks)
             probes_.trace->instantAt(TraceCat::Ptw, "walk_grant", tid_,
                                      now, "vpn", walk.vpn, "walker", w);
         probes_.trace->counter(TraceCat::Ptw, "walks_in_flight", tid_,
                                inFlight_);
     }
     if (probes_.spans) {
-        for (const PendingWalk &walk : batch->walks)
+        for (const PendingWalk &walk : batch.walks)
             probes_.spans->stageAt(asidKey(walk.asid,
                                            walk.vpn >> spanKeyShift_),
                                    SpanStage::WalkGrant, now);
     }
 
     unsigned max_levels = 0;
-    for (const auto &p : paths)
+    for (const auto &p : batch.paths)
         max_levels = std::max(max_levels, p.levels);
 
+    std::vector<LevelRef> &sorted = levelScratch_;
     for (unsigned level = 0; level < max_levels; ++level) {
         // Comparator tree: collapse exact repeats, and issue
         // same-line entries back to back so the later ones hit the
-        // walk cache or the L2 line just fetched (Figs. 8-9).
-        std::map<PhysAddr,
-                 std::map<PhysAddr, std::vector<std::size_t>>>
-            lines;
-        unsigned raw_refs = 0;
-        for (std::size_t i = 0; i < paths.size(); ++i) {
-            if (level >= paths[i].levels)
-                continue;
-            ++raw_refs;
-            const PhysAddr addr = paths[i].entryAddrs[level];
-            auto &finishers = lines[lineAddrOf(addr)][addr];
-            if (level + 1 == paths[i].levels)
-                finishers.push_back(i);
-        }
-        unsigned issued = 0;
-        std::vector<BatchRef> level_refs;
-        for (auto &[line, addrs] : lines) {
-            for (auto &[addr, finishers] : addrs) {
-                (void)addr;
-                BatchRef ref;
-                ref.line = line;
-                ref.finishing = std::move(finishers);
-                level_refs.push_back(std::move(ref));
-                ++issued;
+        // walk cache or the L2 line just fetched (Figs. 8-9). Sorting
+        // by (line, entry, walk) gives that issue order, with each
+        // entry's finishing walks in request order.
+        sorted.clear();
+        for (std::size_t i = 0; i < batch.paths.size(); ++i) {
+            const WalkPath &p = batch.paths[i];
+            if (level < p.levels) {
+                const PhysAddr addr = p.entryAddrs[level];
+                sorted.push_back({lineAddrOf(addr), addr,
+                                  static_cast<std::uint32_t>(i)});
             }
         }
-        batch->levels.push_back(std::move(level_refs));
-        GPUMMU_ASSERT(raw_refs >= issued);
-        refsEliminated_.inc(raw_refs - issued);
+        std::sort(sorted.begin(), sorted.end());
+        const std::size_t level_begin = batch.refs.size();
+        for (std::size_t k = 0; k < sorted.size(); ++k) {
+            const LevelRef &r = sorted[k];
+            if (k == 0 || r.addr != sorted[k - 1].addr ||
+                r.line != sorted[k - 1].line) {
+                BatchRef ref;
+                ref.line = r.line;
+                ref.finBegin =
+                    static_cast<std::uint32_t>(batch.finishers.size());
+                ref.finEnd = ref.finBegin;
+                batch.refs.push_back(ref);
+            }
+            if (level + 1 == batch.paths[r.walk].levels) {
+                batch.finishers.push_back(r.walk);
+                batch.refs.back().finEnd =
+                    static_cast<std::uint32_t>(batch.finishers.size());
+            }
+        }
+        batch.levelEnd.push_back(static_cast<std::uint32_t>(batch.refs.size()));
+        const std::size_t issued = batch.refs.size() - level_begin;
+        GPUMMU_ASSERT(sorted.size() >= issued);
+        refsEliminated_.inc(sorted.size() - issued);
     }
 
     walkerBusy_[w] = true;
-    stepLevel(w, batch, now);
+    stepLevel(&batch, now);
 }
 
 void
 PageWalkers::fireStepLevel(void *ctx, Cycle now)
 {
     auto *batch = static_cast<ActiveBatch *>(ctx);
-    batch->pool->stepLevel(batch->walker, batch, now);
+    batch->pool->stepLevel(batch, now);
 }
 
 void
@@ -250,17 +271,18 @@ PageWalkers::fireWalkDone(void *ctx, Cycle now)
     }
     if (pool->checker_)
         pool->checker_->onWalkCompleted(asidKey(ev->asid, ev->vpn));
-    // Move the callback out before releasing the node: done() may
-    // start new walks, and the recycled slot must be free for them.
-    DoneFn done = std::move(ev->done);
+    // Release the node before the callback: done() may start new
+    // walks, and the recycled slot must be free for them.
+    const DoneFn done = ev->done;
     const Vpn vpn = ev->vpn;
+    const Asid asid = ev->asid;
     const Cycle ready = ev->ready;
     pool->doneArena_.destroy(ev);
-    done(vpn, ready);
+    done(vpn, asid, ready);
 }
 
 void
-PageWalkers::stepLevel(unsigned w, ActiveBatch *batch, Cycle now)
+PageWalkers::stepLevel(ActiveBatch *batch, Cycle now)
 {
     // One event per radix level: a level's references pipeline at
     // the port rate, the next level waits for this one (the pointer
@@ -268,21 +290,23 @@ PageWalkers::stepLevel(unsigned w, ActiveBatch *batch, Cycle now)
     // current simulated cycle; computing the whole batch's
     // timestamps up front would reserve L2/DRAM bandwidth far into
     // the future and distort every other client's latency.
-    if (batch->nextLevel >= batch->levels.size()) {
-        batchArena_.destroy(batch);
-        walkerBusy_[w] = false;
+    if (batch->nextLevel >= batch->levelEnd.size()) {
+        batch->clear();
+        walkerBusy_[batch->walker] = false;
         pump(now);
         return;
     }
-    const unsigned level_idx =
-        static_cast<unsigned>(batch->nextLevel);
-    const auto &level = batch->levels[batch->nextLevel++];
+    const unsigned level_idx = static_cast<unsigned>(batch->nextLevel);
+    const std::uint32_t begin =
+        level_idx == 0 ? 0 : batch->levelEnd[level_idx - 1];
+    const std::uint32_t end = batch->levelEnd[batch->nextLevel++];
     Cycle level_end = now;
-    for (const BatchRef &ref : level) {
+    for (std::uint32_t r = begin; r < end; ++r) {
+        const BatchRef &ref = batch->refs[r];
         const Cycle ready = walkRef(ref.line, level_idx, now);
         level_end = std::max(level_end, ready);
-        for (std::size_t idx : ref.finishing) {
-            PendingWalk &walk = batch->walks[idx];
+        for (std::uint32_t f = ref.finBegin; f < ref.finEnd; ++f) {
+            const PendingWalk &walk = batch->walks[batch->finishers[f]];
             walks_.inc();
             walkLatency_.sample(ready - walk.enqueued);
             if (probes_.spans)
@@ -292,19 +316,16 @@ PageWalkers::stepLevel(unsigned w, ActiveBatch *batch, Cycle now)
             if (probes_.heat)
                 probes_.heat->onWalkComplete(asidKey(walk.asid, walk.vpn),
                                              tid_, walk.enqueued, ready);
-            // Each walk finishes exactly once, so its done callback
-            // can move into the completion node.
             WalkDone *ev = doneArena_.create();
             ev->pool = this;
             ev->vpn = walk.vpn;
             ev->asid = walk.asid;
             ev->ready = ready;
             ev->enqueued = walk.enqueued;
-            ev->done = std::move(walk.done);
+            ev->done = walk.done;
             eq_.scheduleRaw(ready, &PageWalkers::fireWalkDone, ev);
         }
     }
-    batch->walker = w;
     eq_.scheduleRaw(level_end, &PageWalkers::fireStepLevel, batch);
 }
 
@@ -314,7 +335,7 @@ PageWalkers::checkDrained() const
     if (!checker_)
         return;
     GPUMMU_ASSERT(!busy(), "walker pool busy at kernel end: ",
-                  inFlight_, " in flight, ", queue_.size(), " queued");
+                  inFlight_, " in flight, ", queued(), " queued");
     checker_->checkWalksDrained();
     pwc_.forEach([this](std::size_t, std::uint64_t line, Cycle) {
         checker_->onPagingLine(line, kLineShift);
@@ -326,7 +347,7 @@ PageWalkers::onKernelDrained()
 {
     GPUMMU_ASSERT(!busy(),
                   "kernel-boundary reset with walks in flight: ",
-                  inFlight_, " in flight, ", queue_.size(), " queued");
+                  inFlight_, " in flight, ", queued(), " queued");
     portFreeAt_ = 0;
 }
 

@@ -18,15 +18,14 @@
 #ifndef MMU_PTW_HH
 #define MMU_PTW_HH
 
+#include <concepts>
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "mem/memory_system.hh"
 #include "sim/arena.hh"
+#include "sim/callback.hh"
 #include "sim/event_queue.hh"
 #include "sim/probes.hh"
 #include "sim/stats.hh"
@@ -68,18 +67,27 @@ struct PtwConfig
 class PageWalkers
 {
   public:
-    /** Completion callback: (vpn4k, finish cycle). */
-    using DoneFn = std::function<void(Vpn, Cycle)>;
+    /**
+     * Completion record of one request: (vpn4k, asid, finish cycle),
+     * fired once per VPN. The asid is the request's, so one record
+     * can serve every address space of a shared walker pool.
+     */
+    using DoneFn = RawCallback<Vpn, Asid, Cycle>;
 
     PageWalkers(const PtwConfig &cfg, const PageTable &pt,
                 MemorySystem &mem, EventQueue &eq);
 
     /**
      * Request walks for one warp's batch of missing 4KB-granularity
-     * VPNs. The callback fires once per VPN at its completion cycle.
+     * VPNs. @p done (any callable taking (vpn, finish cycle)) fires
+     * once per VPN at its completion cycle.
      */
-    void requestBatch(const std::vector<Vpn> &vpns, Cycle now,
-                      DoneFn done);
+    template <std::invocable<Vpn, Cycle> F>
+    void
+    requestBatch(const std::vector<Vpn> &vpns, Cycle now, F &&done)
+    {
+        requestBatchFor(pt_, 0, vpns, now, std::forward<F>(done));
+    }
 
     /**
      * Multi-process variant: walk @p vpns through an explicit page
@@ -95,6 +103,23 @@ class PageWalkers
                          const std::vector<Vpn> &vpns, Cycle now,
                          DoneFn done);
 
+    /** Callable form: @p done takes (vpn, finish cycle). */
+    template <std::invocable<Vpn, Cycle> F>
+    void
+    requestBatchFor(const PageTable &pt, Asid asid,
+                    const std::vector<Vpn> &vpns, Cycle now, F &&done)
+    {
+        DoneFn raw;
+        if (!vpns.empty()) {
+            raw = callables_.bind(
+                [fn = std::forward<F>(done)](Vpn v, Asid, Cycle c) mutable {
+                    fn(v, c);
+                },
+                vpns.size());
+        }
+        requestBatchFor(pt, asid, vpns, now, raw);
+    }
+
     /**
      * Shootdown hook: drop every walk-cache line backed by one of
      * @p pt's paging-structure pages (an unmap may retire table pages
@@ -104,7 +129,7 @@ class PageWalkers
     std::size_t invalidatePagingLines(const PageTable &pt);
 
     /** True while any walk is in flight or queued. */
-    bool busy() const { return inFlight_ > 0 || !queue_.empty(); }
+    bool busy() const { return inFlight_ > 0 || queued() > 0; }
 
     unsigned inFlight() const { return inFlight_; }
 
@@ -179,8 +204,10 @@ class PageWalkers
     struct BatchRef
     {
         PhysAddr line = 0;
-        /** Indices of walks whose translation this reference yields. */
-        std::vector<std::size_t> finishing;
+        /** Walks whose translation this reference yields:
+         *  ActiveBatch::finishers[finBegin, finEnd). */
+        std::uint32_t finBegin = 0;
+        std::uint32_t finEnd = 0;
     };
 
     /**
@@ -190,17 +217,53 @@ class PageWalkers
      * a level references pipeline at the port rate - the comparator
      * tree issues them successively (Fig. 9).
      *
-     * Arena-pooled: the level-chain event carries a raw pointer to
-     * the batch (via EventQueue::scheduleRaw), and the batch is
-     * returned to the pool when its last level completes.
+     * One per walker, reused batch after batch: the vectors keep
+     * their capacity. The level-chain event carries a raw pointer to
+     * it (via EventQueue::scheduleRaw).
      */
     struct ActiveBatch
     {
-        std::vector<std::vector<BatchRef>> levels;
         std::vector<PendingWalk> walks;
+        /** Scheduled batches: each walk's radix path. */
+        std::vector<WalkPath> paths;
+        /** Every level's references, level after level. */
+        std::vector<BatchRef> refs;
+        /** End of each level's references in refs. */
+        std::vector<std::uint32_t> levelEnd;
+        /** Indices into walks, referenced by BatchRef ranges. */
+        std::vector<std::uint32_t> finishers;
         std::size_t nextLevel = 0;
         PageWalkers *pool = nullptr;
         unsigned walker = 0;
+
+        void
+        clear()
+        {
+            walks.clear();
+            paths.clear();
+            refs.clear();
+            levelEnd.clear();
+            finishers.clear();
+            nextLevel = 0;
+        }
+    };
+
+    /** Comparator-tree sort record: one walk's entry at a level. */
+    struct LevelRef
+    {
+        PhysAddr line;
+        PhysAddr addr;
+        std::uint32_t walk;
+
+        bool
+        operator<(const LevelRef &o) const
+        {
+            if (line != o.line)
+                return line < o.line;
+            if (addr != o.addr)
+                return addr < o.addr;
+            return walk < o.walk;
+        }
     };
 
     /** Arena-pooled per-walk completion event payload. */
@@ -214,6 +277,12 @@ class PageWalkers
         DoneFn done;
     };
 
+    /** Walks waiting for a walker. */
+    std::size_t queued() const { return queue_.size() - queueHead_; }
+
+    /** Remove and return the oldest queued walk. */
+    PendingWalk popQueued();
+
     /** Start the next queued walk on naive walker @p w. */
     void startNaive(unsigned w, Cycle now);
 
@@ -221,9 +290,9 @@ class PageWalkers
     void startScheduledBatch(unsigned w, Cycle now);
 
     /** Issue the batch's next level of references; event-chained. */
-    void stepLevel(unsigned w, ActiveBatch *batch, Cycle now);
+    void stepLevel(ActiveBatch *batch, Cycle now);
 
-    /** scheduleRaw targets (ctx = arena object). */
+    /** scheduleRaw targets (ctx = the ActiveBatch / WalkDone node). */
     static void fireStepLevel(void *ctx, Cycle now);
     static void fireWalkDone(void *ctx, Cycle now);
 
@@ -244,15 +313,22 @@ class PageWalkers
     int tid_ = 0;
     unsigned spanKeyShift_ = 0;
 
-    /** Pools for the event payloads above. Declared before the
+    /** Pool for the completion payloads above. Declared before the
      *  per-walker state so pending raw events (whose ctx points into
-     *  these) are diagnosed by the arena destructor, not by UB, if a
+     *  it) are diagnosed by the arena destructor, not by UB, if a
      *  pool is ever torn down mid-walk. */
-    Arena<ActiveBatch> batchArena_;
     Arena<WalkDone> doneArena_;
+    CallableRecords<Vpn, Asid, Cycle> callables_;
 
-    std::deque<PendingWalk> queue_;
+    /** FIFO of waiting walks: queue_[queueHead_..] (the consumed
+     *  prefix is dropped in bulk, so storage is reused). */
+    std::vector<PendingWalk> queue_;
+    std::size_t queueHead_ = 0;
     std::vector<bool> walkerBusy_;
+    /** One reusable batch per walker. */
+    std::vector<ActiveBatch> walkerBatch_;
+    /** startScheduledBatch() scratch. */
+    std::vector<LevelRef> levelScratch_;
     Cycle portFreeAt_ = 0;
     /** Walk cache payload: the cycle the line's fill completes, so a
      *  hit on a line still in flight from memory waits for it

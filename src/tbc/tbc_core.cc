@@ -274,21 +274,22 @@ TbcCore::issueWarp(int blk_slot, int warp_idx, Cycle now)
 
       case Opcode::Load:
       case Opcode::Store: {
-        if (!w.hasPendingAddrs) {
-            w.pendingAddrs.clear();
+        if (!w.hasAccess) {
+            laneAddrs_.clear();
             for (unsigned lane = 0; lane < kWarpWidth; ++lane) {
                 const int tid = w.laneThread[lane];
                 if (tid >= 0) {
-                    w.pendingAddrs.push_back(launch_.program->genAddr(
+                    laneAddrs_.push_back(launch_.program->genAddr(
                         in->addrGen, threadOf(blk, tid)));
                 }
             }
-            w.hasPendingAddrs = true;
+            memStage_.coalesce(w.access, laneAddrs_);
+            w.hasAccess = true;
         }
         const bool is_store = in->op == Opcode::Store;
         ++w.pendingLoads;
         auto result = memStage_.issue(
-            w.originRep, is_store, w.pendingAddrs, now,
+            w.originRep, is_store, w.access, now,
             [this, blk_slot, warp_idx](Cycle ready) {
                 auto &blk2 =
                     blocks_[static_cast<std::size_t>(blk_slot)];
@@ -322,7 +323,7 @@ TbcCore::issueWarp(int blk_slot, int warp_idx, Cycle now)
             return;
         }
         instrs_.inc();
-        w.hasPendingAddrs = false;
+        w.hasAccess = false;
         ++w.instIdx;
         // Waits on this entry's outstanding data are charged to the
         // worst cause among its fire-and-forget loads.

@@ -89,8 +89,10 @@ class TbcCore : public ShaderCore
         bool done = false; ///< reached the entry's terminator
         /** Representative original warp (CPM row / L1 ownership). */
         int originRep = -1;
-        std::vector<VirtAddr> pendingAddrs;
-        bool hasPendingAddrs = false;
+        /** The current memory instruction, coalesced once per
+         *  dynamic instruction and kept across TLB-busy bounces. */
+        CoalescedAccess access;
+        bool hasAccess = false;
         /**
          * Loads issue fire-and-forget inside an entry (the warp
          * blocks on outstanding data only at the terminator, where
@@ -162,6 +164,8 @@ class TbcCore : public ShaderCore
     WarpStallAccounting stalls_;
     /** tick() scratch: issuable scheduler ids (see SimtCore). */
     std::vector<int> issuableScratch_;
+    /** Memory-issue scratch: the active lanes' addresses. */
+    std::vector<VirtAddr> laneAddrs_;
 
     Counter instrs_;
     Counter aluInstrs_;

@@ -39,11 +39,13 @@ class PhysicalMemory
             ++maskBits_;
     }
 
-    /** Allocate one 4KB frame. */
+    /** Allocate one 4KB frame. Exhaustion is an input error: the
+     *  workload is too large for the frame budget. */
     Ppn
     allocFrame()
     {
-        GPUMMU_ASSERT(nextFrame_ < numFrames_, "out of physical memory");
+        if (nextFrame_ >= numFrames_)
+            exhausted("");
         const std::uint64_t seq = nextFrame_++;
         return scramble_ ? permute(seq) : seq;
     }
@@ -59,8 +61,8 @@ class PhysicalMemory
         const std::uint64_t frames_per_large = kPageSize2M / kPageSize4K;
         std::uint64_t base = (nextFrame_ + frames_per_large - 1) &
                              ~(frames_per_large - 1);
-        GPUMMU_ASSERT(base + frames_per_large <= numFrames_,
-                      "out of physical memory for 2MB page");
+        if (base + frames_per_large > numFrames_)
+            exhausted(" for a 2MB page");
         nextFrame_ = base + frames_per_large;
         return base;
     }
@@ -69,6 +71,14 @@ class PhysicalMemory
     std::uint64_t framesAllocated() const { return nextFrame_; }
 
   private:
+    [[noreturn]] void
+    exhausted(const char *what) const
+    {
+        GPUMMU_FATAL("out of physical memory", what, ": the workload needs "
+                     "more than the ", numFrames_, "-frame budget "
+                     "(SystemConfig::physFrames); lower --scale");
+    }
+
     /**
      * Format-preserving permutation of [0, numFrames) built from a
      * bijective mix on the enclosing power of two plus cycle walking:

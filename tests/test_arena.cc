@@ -9,12 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "core/experiment.hh"
 #include "core/presets.hh"
 #include "sim/arena.hh"
+#include "sim/callback.hh"
 
 using namespace gpummu;
 
@@ -192,4 +195,134 @@ TEST(Arena, FullGpuRunsAreBitIdenticalPooledVsHeap)
         EXPECT_EQ(pooled.statsJson, heap.statsJson)
             << benchmarkName(id) << ": registry dump diverges";
     }
+}
+
+// --- Completion records and in-flight tables (sim/callback.hh) ---
+
+TEST(RecyclePool, ReusesRetiredObjectsWithTheirStorage)
+{
+    RecyclePool<std::vector<int>> pool;
+    std::vector<int> *a = pool.acquire();
+    a->assign(64, 7);
+    pool.release(a);
+    std::vector<int> *b = pool.acquire();
+    EXPECT_EQ(b, a);
+    EXPECT_GE(b->capacity(), 64u);
+    EXPECT_EQ(pool.live(), 1u);
+}
+
+TEST(CallableRecords, FiresTheCallableOncePerUseThenRecycles)
+{
+    CallableRecords<int> records;
+    std::vector<int> seen;
+    auto raw = records.bind([&seen](int v) { seen.push_back(v); }, 3);
+    raw(1);
+    raw(2);
+    raw(3);
+    EXPECT_EQ(seen, (std::vector<int>{1, 2, 3}));
+    // The recycled record serves the next binding.
+    auto again = records.bind([&seen](int v) { seen.push_back(-v); }, 1);
+    EXPECT_EQ(again.ctx, raw.ctx);
+    again(4);
+    EXPECT_EQ(seen.back(), -4);
+}
+
+namespace {
+
+struct KeyEntry
+{
+    std::uint64_t key = 0;
+    int tag = 0;
+};
+
+void
+pushTag(void *ctx, int v)
+{
+    static_cast<std::vector<int> *>(ctx)->push_back(v);
+}
+
+/** Waiters identified by their context: (serial as ctx) -> g_fired. */
+std::vector<int> g_fired;
+
+void
+pushSerial(void *ctx, int)
+{
+    g_fired.push_back(static_cast<int>(reinterpret_cast<std::intptr_t>(ctx)));
+}
+
+} // namespace
+
+TEST(WaitTable, WaitersFireInRegistrationOrderPerKey)
+{
+    WaitTable<KeyEntry, RawCallback<int>> table;
+    table.reserve(4);
+    std::vector<int> a, b;
+    table.open({10, 1});
+    table.open({20, 2});
+    table.wait(10, {&pushTag, &a});
+    table.wait(20, {&pushTag, &b});
+    table.wait(10, {&pushTag, &b});
+    table.wait(10, {&pushTag, &a});
+
+    KeyEntry out;
+    std::size_t batch = 0;
+    ASSERT_TRUE(table.close(10, out, batch));
+    EXPECT_EQ(out.tag, 1);
+    EXPECT_EQ(table.batchSize(batch), 3u);
+    int n = 0;
+    table.fire(batch, [&](const RawCallback<int> &w) { w(++n); });
+    EXPECT_EQ(a, (std::vector<int>{1, 3}));
+    EXPECT_EQ(b, (std::vector<int>{2}));
+    EXPECT_EQ(table.size(), 1u);
+    EXPECT_FALSE(table.close(10, out, batch));
+    ASSERT_NE(table.find(20), nullptr);
+    EXPECT_EQ(table.find(20)->tag, 2);
+}
+
+TEST(WaitTable, MatchesAMapUnderRandomOpenCloseAndGrowth)
+{
+    // Keys that collide in a small index, growth past reserve(), and
+    // removals from the middle of probe runs: every lookup and every
+    // closed batch must agree with a std::map model.
+    WaitTable<KeyEntry, RawCallback<int>> table;
+    table.reserve(2);
+    std::map<std::uint64_t, std::vector<int>> model;
+    std::uint64_t state = 12345;
+    auto next = [&state] {
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        return state >> 33;
+    };
+    int serial = 0;
+    for (int step = 0; step < 20000; ++step) {
+        const std::uint64_t key = (next() % 300) << 32 | (next() % 4);
+        const bool open = model.count(key) != 0;
+        if (!open && next() % 3 != 0) {
+            table.open({key, static_cast<int>(key % 1000)});
+            model[key] = {};
+        }
+        if (model.count(key) != 0 && next() % 2 == 0) {
+            ++serial;
+            table.wait(key, {&pushSerial,
+                             reinterpret_cast<void *>(
+                                 static_cast<std::intptr_t>(serial))});
+            model[key].push_back(serial);
+            continue;
+        }
+        if (model.count(key) != 0 && next() % 4 == 0) {
+            KeyEntry out;
+            std::size_t batch = 0;
+            ASSERT_TRUE(table.close(key, out, batch));
+            EXPECT_EQ(out.key, key);
+            g_fired.clear();
+            table.fire(batch, [](const RawCallback<int> &w) { w(0); });
+            EXPECT_EQ(g_fired, model[key]);
+            model.erase(key);
+        }
+        ASSERT_EQ(table.size(), model.size());
+    }
+    for (const auto &[key, waiters] : model) {
+        ASSERT_NE(table.find(key), nullptr);
+        EXPECT_EQ(table.find(key)->key, key);
+    }
+    EXPECT_EQ(table.find(~std::uint64_t{0}), nullptr);
 }

@@ -61,6 +61,17 @@ struct StageFixture : public ::testing::Test
     VmRegion region;
 };
 
+/** Coalesce @p lanes, then issue them as one memory instruction. */
+MemIssueResult
+issueLanes(MemoryStage &stage, int warp, bool is_store,
+           const std::vector<VirtAddr> &lanes, Cycle now,
+           MemoryStage::CompleteFn complete)
+{
+    CoalescedAccess acc;
+    stage.coalesce(acc, lanes);
+    return stage.issue(warp, is_store, acc, now, std::move(complete));
+}
+
 } // namespace
 
 TEST_F(StageFixture, NoTlbPathCompletesSynchronously)
@@ -72,7 +83,7 @@ TEST_F(StageFixture, NoTlbPathCompletesSynchronously)
     MemoryStage stage(mmu, l1, eq);
 
     Cycle done = 0;
-    auto res = stage.issue(0, false, {addr(0), addr(0, 4)}, 0,
+    auto res = issueLanes(stage, 0, false, {addr(0), addr(0, 4)}, 0,
                            [&](Cycle c) { done = c; });
     EXPECT_EQ(res, MemIssueResult::Issued);
     EXPECT_GT(done, 0u);
@@ -89,7 +100,7 @@ TEST_F(StageFixture, MissWaitsForWalkThenCompletes)
     stage.setScheduler(&sched);
 
     Cycle done = 0;
-    stage.issue(1, false, {addr(3)}, 0, [&](Cycle c) { done = c; });
+    issueLanes(stage, 1, false, {addr(3)}, 0, [&](Cycle c) { done = c; });
     EXPECT_EQ(done, 0u); // async: waiting on the walk
     eq.runUntil(1'000'000);
     EXPECT_GT(done, 0u);
@@ -97,7 +108,7 @@ TEST_F(StageFixture, MissWaitsForWalkThenCompletes)
 
     // Second access hits the TLB and completes synchronously.
     Cycle done2 = 0;
-    stage.issue(1, false, {addr(3)}, done,
+    issueLanes(stage, 1, false, {addr(3)}, done,
                 [&](Cycle c) { done2 = c; });
     EXPECT_GT(done2, 0u);
     EXPECT_EQ(sched.tlbHits, 1);
@@ -113,24 +124,24 @@ TEST_F(StageFixture, HitUnderMissBouncesWouldMissWarp)
 
     // Warm page 0 in the TLB.
     Cycle warm = 0;
-    stage.issue(0, false, {addr(0)}, 0, [&](Cycle c) { warm = c; });
+    issueLanes(stage, 0, false, {addr(0)}, 0, [&](Cycle c) { warm = c; });
     eq.runUntil(1'000'000);
 
     // Warp 1 misses on page 5: walk starts.
     Cycle w1 = 0;
     const Cycle t = eq.now();
-    stage.issue(1, false, {addr(5)}, t, [&](Cycle c) { w1 = c; });
+    issueLanes(stage, 1, false, {addr(5)}, t, [&](Cycle c) { w1 = c; });
     ASSERT_TRUE(mmu.missOutstanding());
 
     // Warp 2 would miss on page 6: bounced.
-    auto res = stage.issue(2, false, {addr(6)}, t + 1,
+    auto res = issueLanes(stage, 2, false, {addr(6)}, t + 1,
                            [](Cycle) { FAIL(); });
     EXPECT_EQ(res, MemIssueResult::BlockedTlbBusy);
     EXPECT_EQ(stage.tlbBusyBounces(), 1u);
 
     // Warp 3 all-hit on page 0: proceeds under the miss.
     Cycle w3 = 0;
-    auto res3 = stage.issue(3, false, {addr(0)}, t + 2,
+    auto res3 = issueLanes(stage, 3, false, {addr(0)}, t + 2,
                             [&](Cycle c) { w3 = c; });
     EXPECT_EQ(res3, MemIssueResult::Issued);
     eq.runUntil(10'000'000);
@@ -151,12 +162,12 @@ TEST_F(StageFixture, OverlapReleasesHitLinesEarly)
     MemoryStage stage(mmu, l1, eq);
 
     Cycle warm = 0;
-    stage.issue(0, false, {addr(0)}, 0, [&](Cycle c) { warm = c; });
+    issueLanes(stage, 0, false, {addr(0)}, 0, [&](Cycle c) { warm = c; });
     eq.runUntil(1'000'000);
     const Cycle t = eq.now();
 
     Cycle done = 0;
-    stage.issue(1, false, {addr(0, 64), addr(7)}, t,
+    issueLanes(stage, 1, false, {addr(0, 64), addr(7)}, t,
                 [&](Cycle c) { done = c; });
     // The hit line (page 0) was accessed at issue time, before the
     // walk for page 7 finished.
@@ -174,11 +185,11 @@ TEST_F(StageFixture, StoresResolveAtTranslationNotData)
 
     // Warm the page so translation hits.
     Cycle warm = 0;
-    stage.issue(0, false, {addr(9)}, 0, [&](Cycle c) { warm = c; });
+    issueLanes(stage, 0, false, {addr(9)}, 0, [&](Cycle c) { warm = c; });
     eq.runUntil(1'000'000);
     const Cycle t = eq.now();
     Cycle done = 0;
-    stage.issue(0, true, {addr(9, 128)}, t,
+    issueLanes(stage, 0, true, {addr(9, 128)}, t,
                 [&](Cycle c) { done = c; });
     // Store completes at the TLB-hit handoff, far sooner than a
     // memory round trip.
@@ -194,7 +205,7 @@ TEST_F(StageFixture, TlbMissFlagPropagatesToL1MissHook)
     stage.setScheduler(&sched);
 
     Cycle done = 0;
-    stage.issue(0, false, {addr(11)}, 0, [&](Cycle c) { done = c; });
+    issueLanes(stage, 0, false, {addr(11)}, 0, [&](Cycle c) { done = c; });
     eq.runUntil(1'000'000);
     EXPECT_GT(sched.l1MissWithTlbMiss, 0);
 }
@@ -211,7 +222,7 @@ TEST_F(StageFixture, PageDivergenceHistogram)
     for (unsigned p = 0; p < 5; ++p)
         lanes.push_back(addr(20 + p));
     Cycle done = 0;
-    stage.issue(0, false, lanes, 0, [&](Cycle c) { done = c; });
+    issueLanes(stage, 0, false, lanes, 0, [&](Cycle c) { done = c; });
     EXPECT_EQ(stage.pageDivergence().max(), 5u);
     EXPECT_DOUBLE_EQ(stage.pageDivergence().mean(), 5.0);
 }

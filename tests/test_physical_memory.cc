@@ -81,8 +81,18 @@ TEST(PhysicalMemory, LargeFramesDoNotOverlap)
 
 TEST(PhysicalMemoryDeathTest, ExhaustionPanics)
 {
+    // An input error (the workload outgrew the frame budget), not a
+    // simulator bug: a one-line fatal with exit code 1.
     PhysicalMemory phys(2, false);
     phys.allocFrame();
     phys.allocFrame();
-    EXPECT_DEATH(phys.allocFrame(), "out of physical memory");
+    EXPECT_EXIT(phys.allocFrame(), ::testing::ExitedWithCode(1),
+                "out of physical memory");
+    PhysicalMemory large(600, false);
+    EXPECT_EXIT(
+        {
+            large.allocLargeFrame();
+            large.allocLargeFrame();
+        },
+        ::testing::ExitedWithCode(1), "out of physical memory for a 2MB");
 }
